@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <span>
 
 #include "graph/degree_stats.hpp"
 #include "obs/obs.hpp"
+#include "sim/streaming.hpp"
 #include "sim/study.hpp"
 #include "synth/presets.hpp"
 #include "util/error.hpp"
@@ -526,6 +528,73 @@ TEST_F(StudySweeps, ResilienceSweepValidatesInputs) {
                                       Connectivity::kConRep, bad, ok, 3,
                                       opts),
                ConfigError);
+}
+
+// FNV-1a over the bit patterns of every UserMetrics field, in cohort order.
+std::uint64_t samples_checksum(const std::vector<UserMetrics>& samples) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const auto& m : samples) {
+    for (const double d :
+         {m.availability, m.max_availability, m.aod_time, m.aod_activity,
+          m.aod_activity_expected, m.aod_activity_unexpected,
+          m.delay_actual_h, m.delay_observed_h, m.replicas_used}) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &d, sizeof(bits));
+      for (int i = 0; i < 8; ++i) {
+        h ^= (bits >> (8 * i)) & 0xff;
+        h *= 1099511628211ULL;
+      }
+    }
+  }
+  return h;
+}
+
+// Every sweep's digest, pinned to the values the engine produced before
+// the sweeps were consolidated onto one cohort evaluator. The thread-count
+// tests above only compare an engine with itself, so a change that moves a
+// point by the same amount on every thread count passes them; these
+// digests do not move unless a result does.
+TEST_F(StudySweeps, SweepDigestsPinned) {
+  Study study(*dataset_, 20120618);
+  auto opts = fast_options();
+  opts.threads = 4;
+
+  EXPECT_EQ(sweep_checksum(study.replication_sweep(
+                ModelKind::kSporadic, {}, Connectivity::kConRep, opts)),
+            9362299007661550914ULL)
+      << "replication_sweep Sporadic ConRep";
+
+  auto random_opts = opts;
+  random_opts.policies = {PolicyKind::kMaxAv, PolicyKind::kRandom};
+  EXPECT_EQ(sweep_checksum(study.replication_sweep(
+                ModelKind::kRandomLength, {}, Connectivity::kUnconRep,
+                random_opts)),
+            11182584105155860518ULL)
+      << "replication_sweep RandomLength UnconRep";
+
+  const std::vector<interval::Seconds> lengths{600, 3600};
+  EXPECT_EQ(sweep_checksum(study.session_length_sweep(
+                lengths, 3, Connectivity::kConRep, opts)),
+            10938026512998103990ULL)
+      << "session_length_sweep";
+
+  EXPECT_EQ(sweep_checksum(study.user_degree_sweep(
+                5, ModelKind::kSporadic, {}, Connectivity::kConRep, opts)),
+            1361921428788017885ULL)
+      << "user_degree_sweep";
+
+  const std::vector<double> intensities{0.0, 0.5, 1.0};
+  EXPECT_EQ(sweep_checksum(study.resilience_sweep(
+                ModelKind::kRandomLength, {}, Connectivity::kConRep,
+                strong_fault_plan(), intensities, 3, opts)),
+            12039330153141276502ULL)
+      << "resilience_sweep";
+
+  EXPECT_EQ(samples_checksum(study.cohort_samples(
+                ModelKind::kSporadic, {}, Connectivity::kConRep,
+                PolicyKind::kRandom, 3, opts)),
+            7703974530008273009ULL)
+      << "cohort_samples";
 }
 
 TEST(StudyErrors, EmptyCohortThrows) {
