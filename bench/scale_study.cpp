@@ -1,6 +1,5 @@
-// Million-user scale benchmark: chunked generation plus the streaming
-// study engine at N = 100k / 500k / 1M synthetic users, written to
-// BENCH_scale.json.
+// Million-user scale benchmark: chunked generation plus the study engine
+// at N = 100k / 500k / 1M synthetic users, written to BENCH_scale.json.
 //
 // Per population size the harness measures
 //   * gen_ms           — serial chunked dataset construction (graph + all
@@ -13,9 +12,8 @@
 //                        serial build — bit-identity is part of
 //                        outputs_identical;
 //   * sweep times      — the same replication sweep run serial (threads =
-//                        1), parallel on the shared pool, and parallel
-//                        with a different shard size. The three sweep
-//                        outputs must agree bit for bit: the streaming
+//                        1) and parallel on the shared pool. The two
+//                        sweep outputs must agree bit for bit: the study
 //                        engine's determinism contract;
 //   * pool counters    — per-configuration deltas of the thread-pool and
 //                        runtime counters (jobs, blocks, steals), so the
@@ -33,7 +31,7 @@
 // per-scenario "oversubscribed" flags threads_parallel > hardware_threads
 // so the committed-baseline caveat travels with the numbers. The
 // top-level "threads" field is the configured maximum across the
-// serial/parallel/reshard configurations, not whichever ran last.
+// serial/parallel configurations, not whichever ran last.
 //
 // Environment knobs: DOSN_SCALE_USERS (comma-separated population sizes,
 // default "100000,500000,1000000" — CI smoke runs just 100000),
@@ -47,7 +45,7 @@
 
 #include "common.hpp"
 #include "obs/export.hpp"
-#include "sim/streaming.hpp"
+#include "sim/study.hpp"
 #include "synth/scale.hpp"
 #include "util/strings.hpp"
 #include "util/thread_pool.hpp"
@@ -149,10 +147,8 @@ struct Scenario {
   double gen_peak_rss_mb = 0;
   double sweep_serial_ms = 0;
   double sweep_parallel_ms = 0;
-  double sweep_reshard_ms = 0;
   PoolCounters pool_serial;
   PoolCounters pool_parallel;
-  PoolCounters pool_reshard;
   std::uint64_t checksum = 0;
   bool identical = false;
   double peak_rss_mb = 0;
@@ -223,8 +219,8 @@ int main() {
     s.activities_total = input.total_activities;
     s.activities_retained = input.dataset.trace.size();
 
-    dosn::sim::StreamingStudy study(input.dataset, seed);
-    dosn::sim::StreamingStudy::Options options;
+    dosn::sim::Study study(input.dataset, seed);
+    dosn::sim::Study::Options options;
     options.cohort_degree = input.cohort_degree;
     options.k_max = 10;
     options.repetitions = 3;
@@ -237,12 +233,10 @@ int main() {
     s.cohort_size = study.cohort(options.cohort_degree, options.cohort_limit)
                         .size();
 
-    const auto sweep_with = [&](dosn::util::ThreadPool* shared,
-                                std::size_t shard_size) {
+    const auto sweep_with = [&](dosn::util::ThreadPool* shared) {
       auto o = options;
       o.threads = 1;
       o.pool = shared;
-      o.shard_size = shard_size;
       return study.replication_sweep(
           input.schedules, input.model_name,
           dosn::placement::Connectivity::kConRep, o);
@@ -250,40 +244,32 @@ int main() {
 
     auto counters_before = PoolCounters::snapshot();
     auto start = Clock::now();
-    const auto serial = sweep_with(nullptr, 1024);
+    const auto serial = sweep_with(nullptr);
     s.sweep_serial_ms = ms_since(start);
     s.pool_serial = PoolCounters::snapshot().delta_since(counters_before);
 
     counters_before = PoolCounters::snapshot();
     start = Clock::now();
-    const auto parallel = sweep_with(&pool, 1024);
+    const auto parallel = sweep_with(&pool);
     s.sweep_parallel_ms = ms_since(start);
     s.pool_parallel = PoolCounters::snapshot().delta_since(counters_before);
 
-    counters_before = PoolCounters::snapshot();
-    start = Clock::now();
-    const auto resharded = sweep_with(&pool, 257);
-    s.sweep_reshard_ms = ms_since(start);
-    s.pool_reshard = PoolCounters::snapshot().delta_since(counters_before);
-
     s.checksum = dosn::sim::sweep_checksum(serial);
     s.identical = s.gen_identical &&
-                  s.checksum == dosn::sim::sweep_checksum(parallel) &&
-                  s.checksum == dosn::sim::sweep_checksum(resharded);
+                  s.checksum == dosn::sim::sweep_checksum(parallel);
     all_identical &= s.identical;
     s.peak_rss_mb = dosn::bench::peak_rss_mb();
 
     std::printf(
         "scale N=%-8zu cohort=%zu(deg %zu)  activities=%llu (kept %llu)  "
         "gen=%.0fms gen_pipe=%.0fms  serial=%.0fms  parallel(%zu)=%.0fms  "
-        "reshard=%.0fms  steals=%llu  rss=%.0fMiB  identical=%s\n",
+        "steals=%llu  rss=%.0fMiB  identical=%s\n",
         s.users, s.cohort_size, s.cohort_degree,
         static_cast<unsigned long long>(s.activities_total),
         static_cast<unsigned long long>(s.activities_retained), s.gen_ms,
         s.gen_pipelined_ms, s.sweep_serial_ms, parallel_threads,
-        s.sweep_parallel_ms, s.sweep_reshard_ms,
-        static_cast<unsigned long long>(s.pool_parallel.runtime_steals +
-                                        s.pool_reshard.runtime_steals),
+        s.sweep_parallel_ms,
+        static_cast<unsigned long long>(s.pool_parallel.runtime_steals),
         s.peak_rss_mb, s.identical ? "yes" : "NO");
     scenarios.push_back(s);
   }
@@ -319,10 +305,8 @@ int main() {
           w.field("gen_peak_rss_mb", s.gen_peak_rss_mb);
           w.field("sweep_serial_ms", s.sweep_serial_ms);
           w.field("sweep_parallel_ms", s.sweep_parallel_ms);
-          w.field("sweep_reshard_ms", s.sweep_reshard_ms);
           write_pool_counters(w, "pool_serial", s.pool_serial);
           write_pool_counters(w, "pool_parallel", s.pool_parallel);
-          write_pool_counters(w, "pool_reshard", s.pool_reshard);
           w.field("checksum", s.checksum);
           w.field("outputs_identical", s.identical);
           w.field("peak_rss_mb", s.peak_rss_mb);

@@ -66,7 +66,7 @@ class IncrementalGroupDelay {
   void push(const DaySchedule& node);
 
   /// Returns to the empty state (as freshly constructed with `mode`) while
-  /// keeping buffer capacity, so shard loops can reuse one instance across
+  /// keeping buffer capacity, so per-worker loops can reuse one instance across
   /// many users without reallocating the matrix per user.
   void reset(RendezvousMode mode);
 

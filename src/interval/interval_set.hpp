@@ -76,7 +76,7 @@ class IntervalSet {
 
   /// In-place union: *this becomes this ∪ other. Merges the two canonical
   /// piece lists into *scratch (grown but never shrunk) and swaps it in, so
-  /// steady-state callers (shard loops, greedy candidate scans) do no
+  /// steady-state callers (per-worker loops, greedy candidate scans) do no
   /// allocation once the scratch has warmed up. Exactly equivalent to
   /// `*this = unite(other)` — the canonical representation is unique.
   void unite_with(const IntervalSet& other, std::vector<Interval>* scratch);

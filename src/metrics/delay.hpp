@@ -86,7 +86,7 @@ class DelayPrefixEvaluator {
   void push(const DaySchedule& replica);
 
   /// Restarts the evaluator for a new owner (as freshly constructed) while
-  /// keeping buffer capacity — lets one instance serve a whole user shard.
+  /// keeping buffer capacity — lets one instance serve a worker's users.
   void reset(const DaySchedule& owner, Connectivity connectivity);
 
   /// Delay metrics for the owner plus every replica pushed so far.

@@ -1,10 +1,9 @@
-// Shared cohort-reduction helpers for the study engines (sim-internal).
+// Cohort-reduction helpers of the study engine (sim-internal).
 //
-// Both Study (the seed path) and StreamingStudy (the sharded scale path)
-// must reduce per-user rows with the exact same floating-point operation
-// order — that shared order is what makes the two engines bit-identical.
-// Keeping the accumulator and the run-averaging in one header removes any
-// chance of the two paths drifting apart.
+// Study reduces per-user rows with these, and the differential oracle in
+// tests/ reduces its serial reference rows with the same ones — so the two
+// share the exact floating-point operation order, and any difference
+// between them comes from the rows themselves.
 #pragma once
 
 #include <span>
@@ -82,20 +81,17 @@ inline CohortMetrics average_runs(std::span<const CohortMetrics> runs) {
 
 // Sweep tags feeding sweep_stream: distinct constants per sweep so the
 // same (x, policy, rep) cell of different sweeps never shares a stream.
-// StreamingStudy's replication sweep reuses kReplicationTag — same cells,
-// same streams, bit-identical output to the seed engine.
 constexpr std::uint64_t kReplicationTag = 0x4e97;
 constexpr std::uint64_t kSessionTag = 0x3e55;
 constexpr std::uint64_t kDegreeTag = 0xde60;
 constexpr std::uint64_t kSamplesTag = 0xd158;
 constexpr std::uint64_t kFaultTag = 0xfa17;
 
-/// RNG stream id of the schedule realization for repetition `r` — shared
-/// by Study::replication_sweep, Study::resilience_sweep and the streaming
-/// engine (and by synth::build_scale_study_input for its chunk-built
-/// schedules), so every path sees the same realizations.
-constexpr std::uint64_t schedule_stream(std::uint64_t seed, std::size_t rep) {
-  return util::mix64(seed, 0x5ced0000 + rep);
-}
+/// Base of the RNG stream ids of the schedule realizations: repetition r
+/// draws from mix64(seed, kScheduleStreamBase + r). Shared by
+/// Study::replication_sweep and Study::resilience_sweep (and by
+/// synth::build_scale_study_input for its chunk-built schedules), so every
+/// path sees the same realizations.
+constexpr std::uint64_t kScheduleStreamBase = 0x5ced0000;
 
 }  // namespace dosn::sim::detail

@@ -50,7 +50,7 @@ std::vector<UserMetrics> evaluate_user_prefixes(
     placement::Connectivity connectivity, std::size_t k_max);
 
 /// Reusable buffers for the allocation-free evaluate_user_prefixes
-/// overload: one instance per worker, reused across every user of a shard,
+/// overload: one instance per worker, reused across every user it evaluates,
 /// so steady-state evaluation does not allocate once the buffers have
 /// warmed up. Default-constructed cold; contents are overwritten per call.
 struct EvalScratch {

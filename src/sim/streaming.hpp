@@ -1,106 +1,13 @@
-// The sharded, allocation-reusing scale path through the study engine.
-//
-// StreamingStudy runs the same replication sweeps as Study, but partitions
-// the evaluation cohort into fixed-size shards of consecutive cohort
-// indices. Each shard is one parallel task on the util::ThreadPool; inside
-// a shard, one per-shard arena (sim::EvalScratch plus the shard's row
-// buffer) is reused across every user, so steady-state per-user evaluation
-// does not allocate. Per-user RNG streams are identical to the seed path
-// (mix64(stream_seed, user_id)), and the final reduction walks shards in
-// index order and users in order within each shard — i.e. exactly cohort
-// index order, the same floating-point accumulation order as
-// Study::evaluate_policy_over_ks. Results are therefore bit-identical to
-// the seed engine for every shard size and thread count (asserted by
-// tests/test_streaming_equivalence.cpp).
-//
-// The third replication_sweep overload takes precomputed schedules: the
-// million-user path (synth::build_scale_study_input) builds schedules
-// chunk-by-chunk during generation and keeps only the cohort-restricted
-// trace, never materializing the full activity set.
+// sim::Study and StudyOptions under the names the million-user scale path
+// was written against. Study runs every sweep, the scale path included,
+// through one cohort evaluator.
 #pragma once
-
-#include <string_view>
 
 #include "sim/study.hpp"
 
 namespace dosn::sim {
 
-/// StudyOptions plus the streaming knobs.
-struct StreamingOptions : StudyOptions {
-  /// Cohort users per shard (>= 1). Any value produces bit-identical
-  /// results; larger shards amortize scratch warm-up, smaller shards
-  /// balance load better.
-  std::size_t shard_size = 1024;
-  /// Evaluate only the first `cohort_limit` cohort users (in user-id
-  /// order); 0 = the whole cohort. A deterministic cap for the scale
-  /// bench, where a million-user population yields tens of thousands of
-  /// degree-d cohort users.
-  std::size_t cohort_limit = 0;
-  /// Shared worker pool. When set, sweeps run on this pool (its
-  /// work-stealing runtime stays warm across generation and every sweep —
-  /// no teardown/re-fork between pipeline phases) and `threads` is
-  /// ignored; when null, the sweep constructs its own pool from
-  /// `threads`. Results are bit-identical either way.
-  util::ThreadPool* pool = nullptr;
-};
-
-class StreamingStudy {
- public:
-  using Options = StreamingOptions;
-
-  StreamingStudy(const trace::Dataset& dataset, std::uint64_t seed);
-
-  const trace::Dataset& dataset() const { return dataset_; }
-
-  /// Users with degree exactly `degree` (the sweep cohort), truncated to
-  /// `limit` when non-zero.
-  std::vector<graph::UserId> cohort(std::size_t degree,
-                                    std::size_t limit) const;
-
-  /// Metrics vs replication degree; bit-identical to
-  /// Study::replication_sweep on the same dataset/seed/options.
-  SweepResult replication_sweep(onlinetime::ModelKind model,
-                                const onlinetime::ModelParams& params,
-                                placement::Connectivity connectivity,
-                                const Options& options = Options{}) const;
-
-  SweepResult replication_sweep(const onlinetime::OnlineTimeModel& model,
-                                placement::Connectivity connectivity,
-                                const Options& options = Options{}) const;
-
-  /// Same sweep over precomputed deterministic schedules (one realization
-  /// for every user of the dataset). Equivalent to a deterministic model
-  /// that returns `schedules`: policy repetitions still follow
-  /// options.repetitions for randomized policies.
-  SweepResult replication_sweep(std::span<const DaySchedule> schedules,
-                                std::string_view model_name,
-                                placement::Connectivity connectivity,
-                                const Options& options = Options{}) const;
-
- private:
-  /// Common sweep driver: `schedules` holds one realization per model
-  /// repetition (a single entry when the model is deterministic).
-  SweepResult sweep_over_schedules(
-      std::span<const std::vector<DaySchedule>> schedules,
-      bool model_randomized, std::string_view model_name,
-      placement::Connectivity connectivity, const Options& options) const;
-
-  std::vector<CohortMetrics> evaluate_policy_sharded(
-      std::span<const DaySchedule> schedules,
-      std::span<const graph::UserId> cohort_users,
-      const placement::ReplicaPolicy& policy,
-      placement::Connectivity connectivity, std::size_t k_max,
-      std::uint64_t stream_seed, std::size_t shard_size,
-      util::ThreadPool& pool) const;
-
-  const trace::Dataset& dataset_;
-  std::uint64_t seed_;
-};
-
-/// Order-sensitive FNV-1a checksum over every numeric field of a sweep
-/// (xs, all CohortMetrics doubles bit-patterns, cohort sizes and curve
-/// names). Two sweeps compare equal iff their checksums match in practice;
-/// the scale bench uses it to assert cross-thread/cross-shard identity.
-std::uint64_t sweep_checksum(const SweepResult& result);
+using StreamingStudy = Study;
+using StreamingOptions = StudyOptions;
 
 }  // namespace dosn::sim

@@ -1,6 +1,8 @@
 #include "sim/study.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <optional>
 
 #include "graph/degree_stats.hpp"
 #include "obs/obs.hpp"
@@ -15,7 +17,6 @@ using detail::kFaultTag;
 using detail::kReplicationTag;
 using detail::kSamplesTag;
 using detail::kSessionTag;
-using Accum = detail::CohortAccum;
 
 namespace {
 
@@ -24,8 +25,8 @@ namespace {
 struct StudyMetrics {
   obs::Counter& users_evaluated =
       obs::Registry::global().counter("sim.users_evaluated");
-  /// One cell = one evaluate_policy_over_ks call (a policy at one sweep x
-  /// for one repetition).
+  /// One cell = one evaluate_cohort call (a policy at one sweep x for one
+  /// repetition, or one cohort_samples call).
   obs::Counter& sweep_cells =
       obs::Registry::global().counter("sim.sweep_cells");
 };
@@ -33,6 +34,70 @@ struct StudyMetrics {
 StudyMetrics& study_metrics() {
   static StudyMetrics m;
   return m;
+}
+
+/// The sweep's worker set: the caller's shared pool (kept warm across
+/// generation and successive sweeps) or a sweep-local pool sized by
+/// options.threads, constructed in `local`.
+util::ThreadPool& sweep_pool(const StudyOptions& options,
+                             std::optional<util::ThreadPool>& local) {
+  return options.pool != nullptr ? *options.pool
+                                 : local.emplace(options.threads);
+}
+
+/// One schedule realization per model repetition (a single one for a
+/// deterministic model); realization r draws from mix64(seed, base + r).
+std::vector<std::vector<DaySchedule>> realize_schedules(
+    const onlinetime::OnlineTimeModel& model, const trace::Dataset& dataset,
+    std::size_t repetitions, std::uint64_t seed, std::uint64_t base) {
+  const std::size_t reps = model.randomized() ? repetitions : 1;
+  std::vector<std::vector<DaySchedule>> out;
+  out.reserve(reps);
+  for (std::size_t r = 0; r < reps; ++r) {
+    util::Rng rng(util::mix64(seed, base + r));
+    out.push_back(model.schedules(dataset, rng));
+  }
+  return out;
+}
+
+std::vector<std::span<const DaySchedule>> spans_of(
+    const std::vector<std::vector<DaySchedule>>& sets) {
+  return {sets.begin(), sets.end()};
+}
+
+/// Cohort means of every prefix k = 0..stride-1 over user-major `rows`.
+/// Rows are accumulated in cohort index order: floating-point accumulation
+/// is order-dependent, so this fixed order is what makes the result
+/// bit-identical for every thread count.
+std::vector<CohortMetrics> cohort_means(std::span<const UserMetrics> rows,
+                                        std::size_t stride) {
+  std::vector<detail::CohortAccum> accum(stride);
+  for (std::size_t off = 0; off < rows.size(); off += stride)
+    for (std::size_t k = 0; k < stride; ++k) accum[k].add(rows[off + k]);
+  std::vector<CohortMetrics> out;
+  out.reserve(stride);
+  for (const auto& a : accum) out.push_back(a.mean());
+  return out;
+}
+
+/// A sweep's header and one empty curve per configured policy.
+SweepResult sweep_header(const trace::Dataset& dataset,
+                         std::string_view model_name,
+                         placement::Connectivity connectivity,
+                         std::string x_label, const StudyOptions& options) {
+  SweepResult result;
+  result.dataset_name = dataset.name;
+  result.model_name = std::string(model_name);
+  result.connectivity_name = placement::to_string(connectivity);
+  result.x_label = std::move(x_label);
+  for (const placement::PolicyKind kind : options.policies) {
+    PolicyCurve curve;
+    curve.policy_name =
+        placement::make_policy(kind, options.policy_params)->name();
+    curve.policy = kind;
+    result.policies.push_back(std::move(curve));
+  }
+  return result;
 }
 
 }  // namespace
@@ -81,49 +146,86 @@ std::vector<util::Series> SweepResult::series(Metric metric) const {
 Study::Study(const trace::Dataset& dataset, std::uint64_t seed)
     : dataset_(dataset), seed_(seed) {}
 
-std::vector<graph::UserId> Study::cohort(std::size_t degree) const {
-  return graph::users_with_degree(dataset_.graph, degree);
+std::vector<graph::UserId> Study::cohort(std::size_t degree,
+                                         std::size_t limit) const {
+  auto users = graph::users_with_degree(dataset_.graph, degree);
+  if (limit > 0 && users.size() > limit) users.resize(limit);
+  return users;
 }
 
-std::vector<CohortMetrics> Study::evaluate_policy_over_ks(
-    std::span<const DaySchedule> schedules,
+std::vector<UserMetrics> Study::evaluate_cohort(
+    std::span<const DaySchedule> placement_schedules,
+    std::span<const DaySchedule> evaluation_schedules,
     std::span<const graph::UserId> cohort_users,
     const placement::ReplicaPolicy& policy,
-    const placement::PolicyParams& /*params*/,
     placement::Connectivity connectivity, std::size_t k_max,
     std::uint64_t stream_seed, util::ThreadPool& pool) const {
   obs::ScopedTimer span("study.evaluate_policy");
   study_metrics().sweep_cells.add(1);
   study_metrics().users_evaluated.add(cohort_users.size());
 
-  // Phase 1 (parallel): each user evaluates independently into its own
-  // slot, drawing from its own RNG stream — no shared mutable state.
-  std::vector<std::vector<UserMetrics>> per_user(cohort_users.size());
+  // Each user evaluates independently into its own rows, drawing from its
+  // own RNG stream — no shared mutable state. Each worker thread reuses one
+  // arena (EvalScratch plus a row buffer) across every user it evaluates,
+  // so steady-state evaluation does not allocate; the arena carries no
+  // state from one user to the next, since every call overwrites it.
+  const std::size_t stride = k_max + 1;
+  std::vector<UserMetrics> rows(cohort_users.size() * stride);
   util::parallel_for_each(&pool, cohort_users.size(), [&](std::size_t i) {
+    thread_local EvalScratch scratch;
+    thread_local std::vector<UserMetrics> user_rows;
     const graph::UserId u = cohort_users[i];
     placement::PlacementContext context;
     context.user = u;
     context.candidates = dataset_.graph.contacts(u);
-    context.schedules = schedules;
+    context.schedules = placement_schedules;
     context.trace = &dataset_.trace;
     context.connectivity = connectivity;
     context.max_replicas = k_max;
     util::Rng rng(util::mix64(stream_seed, u));
     const auto selected = policy.select(context, rng);
-    per_user[i] = evaluate_user_prefixes(dataset_, schedules, u, selected,
-                                         connectivity, k_max);
+    evaluate_user_prefixes(dataset_, evaluation_schedules, u, selected,
+                           connectivity, k_max, scratch, user_rows);
+    DOSN_ASSERT(user_rows.size() == stride);
+    std::copy(user_rows.begin(), user_rows.end(), rows.begin() + i * stride);
   });
+  return rows;
+}
 
-  // Phase 2 (serial): reduce in cohort index order. Floating-point
-  // accumulation is order-dependent, so this fixed order is what makes the
-  // result bit-identical for every thread count.
-  std::vector<Accum> accum(k_max + 1);
-  for (const auto& rows : per_user)
-    for (std::size_t k = 0; k <= k_max; ++k) accum[k].add(rows[k]);
-  std::vector<CohortMetrics> out;
-  out.reserve(k_max + 1);
-  for (const auto& a : accum) out.push_back(a.mean());
-  return out;
+std::vector<std::vector<CohortMetrics>> Study::sweep_policies(
+    const Realizations& placement_sets, const Realizations& evaluation_sets,
+    std::span<const graph::UserId> cohort_users,
+    placement::Connectivity connectivity, std::size_t k_max,
+    std::uint64_t tag, std::uint64_t x, const Options& options,
+    util::ThreadPool& pool) const {
+  const auto pick = [](const Realizations& set, std::size_t r) {
+    return set[set.size() == 1 ? 0 : r];
+  };
+  std::vector<std::vector<CohortMetrics>> curves;
+  for (std::size_t p = 0; p < options.policies.size(); ++p) {
+    const auto policy =
+        placement::make_policy(options.policies[p], options.policy_params);
+    const bool randomized =
+        placement_sets.size() > 1 || policy->randomized();
+    const std::size_t reps = randomized ? options.repetitions : 1;
+    std::vector<std::vector<CohortMetrics>> runs;
+    for (std::size_t r = 0; r < reps; ++r) {
+      const auto rows = evaluate_cohort(
+          pick(placement_sets, r), pick(evaluation_sets, r), cohort_users,
+          *policy, connectivity, k_max, sweep_stream(seed_, tag, x, p, r),
+          pool);
+      runs.push_back(cohort_means(rows, k_max + 1));
+    }
+    std::vector<CohortMetrics> points;
+    for (std::size_t k = 0; k <= k_max; ++k) {
+      std::vector<CohortMetrics> at_k;
+      at_k.reserve(runs.size());
+      for (const auto& run : runs) at_k.push_back(run[k]);
+      points.push_back(average_runs(at_k));
+    }
+    curves.push_back(std::move(points));
+  }
+  return curves;
 }
 
 SweepResult Study::replication_sweep(onlinetime::ModelKind model_kind,
@@ -138,52 +240,42 @@ SweepResult Study::replication_sweep(const onlinetime::OnlineTimeModel& model,
                                      placement::Connectivity connectivity,
                                      const Options& options) const {
   obs::ScopedTimer span("study.replication_sweep");
-  const auto cohort_users = cohort(options.cohort_degree);
+  const auto schedules =
+      realize_schedules(model, dataset_, options.repetitions, seed_,
+                        detail::kScheduleStreamBase);
+  return replication_sweep_over(spans_of(schedules), model.name(),
+                                connectivity, options);
+}
+
+SweepResult Study::replication_sweep(std::span<const DaySchedule> schedules,
+                                     std::string_view model_name,
+                                     placement::Connectivity connectivity,
+                                     const Options& options) const {
+  obs::ScopedTimer span("study.replication_sweep");
+  DOSN_REQUIRE(schedules.size() == dataset_.num_users(),
+               "replication_sweep: schedule count mismatch");
+  return replication_sweep_over({schedules}, model_name, connectivity,
+                                options);
+}
+
+SweepResult Study::replication_sweep_over(
+    const Realizations& schedules, std::string_view model_name,
+    placement::Connectivity connectivity, const Options& options) const {
+  const auto cohort_users =
+      cohort(options.cohort_degree, options.cohort_limit);
   DOSN_REQUIRE(!cohort_users.empty(),
                "replication_sweep: no user has the cohort degree");
 
-  const std::size_t model_reps =
-      model.randomized() ? options.repetitions : 1;
-  std::vector<std::vector<DaySchedule>> schedules;
-  schedules.reserve(model_reps);
-  for (std::size_t r = 0; r < model_reps; ++r) {
-    util::Rng rng(detail::schedule_stream(seed_, r));
-    schedules.push_back(model.schedules(dataset_, rng));
-  }
-
-  SweepResult result;
-  result.dataset_name = dataset_.name;
-  result.model_name = model.name();
-  result.connectivity_name = placement::to_string(connectivity);
-  result.x_label = "replication degree";
+  SweepResult result = sweep_header(dataset_, model_name, connectivity,
+                                    "replication degree", options);
   for (std::size_t k = 0; k <= options.k_max; ++k)
     result.xs.push_back(static_cast<double>(k));
-
-  util::ThreadPool pool(options.threads);
-  for (std::size_t p = 0; p < options.policies.size(); ++p) {
-    const placement::PolicyKind kind = options.policies[p];
-    const auto policy = placement::make_policy(kind, options.policy_params);
-    const std::size_t reps =
-        (model.randomized() || policy->randomized()) ? options.repetitions
-                                                     : 1;
-    std::vector<std::vector<CohortMetrics>> runs;
-    for (std::size_t r = 0; r < reps; ++r) {
-      const auto& sched = schedules[model.randomized() ? r : 0];
-      runs.push_back(evaluate_policy_over_ks(
-          sched, cohort_users, *policy, options.policy_params, connectivity,
-          options.k_max, sweep_stream(seed_, kReplicationTag, 0, p, r),
-          pool));
-    }
-    PolicyCurve curve;
-    curve.policy_name = policy->name();
-    curve.policy = kind;
-    for (std::size_t k = 0; k <= options.k_max; ++k) {
-      std::vector<CohortMetrics> at_k;
-      for (const auto& run : runs) at_k.push_back(run[k]);
-      curve.points.push_back(average_runs(at_k));
-    }
-    result.policies.push_back(std::move(curve));
-  }
+  std::optional<util::ThreadPool> local_pool;
+  auto curves = sweep_policies(schedules, schedules, cohort_users,
+                               connectivity, options.k_max, kReplicationTag,
+                               0, options, sweep_pool(options, local_pool));
+  for (std::size_t p = 0; p < curves.size(); ++p)
+    result.policies[p].points = std::move(curves[p]);
   return result;
 }
 
@@ -191,46 +283,26 @@ SweepResult Study::session_length_sweep(
     std::span<const interval::Seconds> session_lengths, std::size_t k,
     placement::Connectivity connectivity, const Options& options) const {
   obs::ScopedTimer span("study.session_length_sweep");
-  const auto cohort_users = cohort(options.cohort_degree);
+  const auto cohort_users =
+      cohort(options.cohort_degree, options.cohort_limit);
   DOSN_REQUIRE(!cohort_users.empty(),
                "session_length_sweep: no user has the cohort degree");
 
-  SweepResult result;
-  result.dataset_name = dataset_.name;
-  result.model_name = "Sporadic";
-  result.connectivity_name = placement::to_string(connectivity);
-  result.x_label = "session length (sec)";
-  for (const auto len : session_lengths)
-    result.xs.push_back(static_cast<double>(len));
-
-  result.policies.resize(options.policies.size());
-  for (std::size_t p = 0; p < options.policies.size(); ++p) {
-    const auto policy =
-        placement::make_policy(options.policies[p], options.policy_params);
-    result.policies[p].policy_name = policy->name();
-    result.policies[p].policy = options.policies[p];
-  }
-
-  util::ThreadPool pool(options.threads);
+  SweepResult result = sweep_header(dataset_, "Sporadic", connectivity,
+                                    "session length (sec)", options);
+  std::optional<util::ThreadPool> local_pool;
+  util::ThreadPool& pool = sweep_pool(options, local_pool);
   for (std::size_t xi = 0; xi < session_lengths.size(); ++xi) {
+    result.xs.push_back(static_cast<double>(session_lengths[xi]));
     const onlinetime::SporadicModel model(session_lengths[xi]);
     util::Rng model_rng(util::mix64(seed_, 0x3e550000 + xi));
     const auto sched = model.schedules(dataset_, model_rng);
-
-    for (std::size_t p = 0; p < options.policies.size(); ++p) {
-      const auto policy =
-          placement::make_policy(options.policies[p], options.policy_params);
-      const std::size_t reps =
-          policy->randomized() ? options.repetitions : 1;
-      std::vector<CohortMetrics> runs;
-      for (std::size_t r = 0; r < reps; ++r) {
-        const auto by_k = evaluate_policy_over_ks(
-            sched, cohort_users, *policy, options.policy_params, connectivity,
-            k, sweep_stream(seed_, kSessionTag, xi, p, r), pool);
-        runs.push_back(by_k.back());  // the fixed-k point
-      }
-      result.policies[p].points.push_back(average_runs(runs));
-    }
+    const Realizations realization{sched};
+    const auto curves =
+        sweep_policies(realization, realization, cohort_users, connectivity,
+                       k, kSessionTag, xi, options, pool);
+    for (std::size_t p = 0; p < curves.size(); ++p)
+      result.policies[p].points.push_back(curves[p].back());  // fixed k
   }
   return result;
 }
@@ -249,105 +321,53 @@ SweepResult Study::resilience_sweep(onlinetime::ModelKind model_kind,
     DOSN_REQUIRE(f >= 0.0 && f <= 1.0,
                  "resilience_sweep: intensity outside [0, 1]");
   const auto model = onlinetime::make_model(model_kind, params);
-  const auto cohort_users = cohort(options.cohort_degree);
+  const auto cohort_users =
+      cohort(options.cohort_degree, options.cohort_limit);
   DOSN_REQUIRE(!cohort_users.empty(),
                "resilience_sweep: no user has the cohort degree");
 
   // Ideal schedules come from the replication_sweep stream seeds, so the
   // intensity-0 column equals the replication_sweep point at k (with
   // k_max = k) for deterministic policies — an identity the tests assert.
-  const std::size_t model_reps =
-      model->randomized() ? options.repetitions : 1;
-  std::vector<std::vector<DaySchedule>> schedules;
-  schedules.reserve(model_reps);
-  for (std::size_t r = 0; r < model_reps; ++r) {
-    util::Rng rng(detail::schedule_stream(seed_, r));
-    schedules.push_back(model->schedules(dataset_, rng));
-  }
+  const auto ideal = realize_schedules(*model, dataset_, options.repetitions,
+                                       seed_, detail::kScheduleStreamBase);
+  bool any_randomized = model->randomized();
+  for (const placement::PolicyKind kind : options.policies)
+    any_randomized |=
+        placement::make_policy(kind, options.policy_params)->randomized();
+  const std::size_t reps = any_randomized ? options.repetitions : 1;
 
-  SweepResult result;
-  result.dataset_name = dataset_.name;
-  result.model_name = model->name();
-  result.connectivity_name = placement::to_string(connectivity);
-  result.x_label = "fault intensity";
+  SweepResult result = sweep_header(dataset_, model->name(), connectivity,
+                                    "fault intensity", options);
   result.xs.assign(intensities.begin(), intensities.end());
-
-  result.policies.resize(options.policies.size());
-  for (std::size_t p = 0; p < options.policies.size(); ++p) {
-    const auto policy =
-        placement::make_policy(options.policies[p], options.policy_params);
-    result.policies[p].policy_name = policy->name();
-    result.policies[p].policy = options.policies[p];
-  }
-
-  util::ThreadPool pool(options.threads);
-  for (std::size_t xi = 0; xi < intensities.size(); ++xi) {
-    const double f = intensities[xi];
-    // Degraded schedules per repetition at this intensity, built lazily
-    // and shared across policies. The fault realization seed varies with
-    // the repetition but *not* the intensity: within a repetition the
-    // realizations are nested (scaled() preserves the seed), so every
-    // fault present at f1 is present at f2 >= f1 and the per-user online
-    // sets — hence availability — degrade exactly monotonically.
-    std::vector<std::vector<DaySchedule>> degraded(
-        std::max<std::size_t>(options.repetitions, 1));
-    const auto degraded_for =
-        [&](std::size_t r) -> const std::vector<DaySchedule>& {
-      auto& slot = degraded[r];
-      if (slot.empty()) {
-        net::FaultPlan realization = base_plan;
-        realization.seed = util::mix64(seed_, base_plan.seed, r);
-        net::FaultInjector injector(net::scaled(realization, f));
-        const auto& ideal = schedules[model->randomized() ? r : 0];
-        slot.reserve(ideal.size());
-        for (std::size_t u = 0; u < ideal.size(); ++u)
-          slot.push_back(injector.degrade_day(u, ideal[u]));
-        injector.flush_stats();
-      }
-      return slot;
-    };
-
-    for (std::size_t p = 0; p < options.policies.size(); ++p) {
-      const auto policy =
-          placement::make_policy(options.policies[p], options.policy_params);
-      const std::size_t reps =
-          (model->randomized() || policy->randomized()) ? options.repetitions
-                                                        : 1;
-      std::vector<CohortMetrics> runs;
-      for (std::size_t r = 0; r < reps; ++r) {
-        const auto& ideal = schedules[model->randomized() ? r : 0];
-        const auto& degr = degraded_for(r);
-        // Placement sees the ideal schedules; only the evaluation runs on
-        // the degraded ones. x = 0 in the stream id keeps randomized
-        // placements identical across intensities, preserving nesting.
-        const std::uint64_t stream_seed =
-            sweep_stream(seed_, kFaultTag, 0, p, r);
-        study_metrics().sweep_cells.add(1);
-        study_metrics().users_evaluated.add(cohort_users.size());
-        std::vector<UserMetrics> per_user(cohort_users.size());
-        util::parallel_for_each(
-            &pool, cohort_users.size(), [&](std::size_t i) {
-              const graph::UserId u = cohort_users[i];
-              placement::PlacementContext context;
-              context.user = u;
-              context.candidates = dataset_.graph.contacts(u);
-              context.schedules = ideal;
-              context.trace = &dataset_.trace;
-              context.connectivity = connectivity;
-              context.max_replicas = k;
-              util::Rng rng(util::mix64(stream_seed, u));
-              const auto selected = policy->select(context, rng);
-              const std::size_t take = std::min(k, selected.size());
-              per_user[i] = evaluate_user(dataset_, degr, u,
-                                          {selected.data(), take},
-                                          connectivity);
-            });
-        Accum accum;
-        for (const auto& row : per_user) accum.add(row);
-        runs.push_back(accum.mean());
-      }
-      result.policies[p].points.push_back(average_runs(runs));
+  std::optional<util::ThreadPool> local_pool;
+  util::ThreadPool& pool = sweep_pool(options, local_pool);
+  for (const double f : intensities) {
+    // Degraded schedules per repetition at this intensity, shared across
+    // policies. The fault realization seed varies with the repetition but
+    // *not* the intensity: within a repetition the realizations are nested
+    // (scaled() preserves the seed), so every fault present at f1 is
+    // present at f2 >= f1 and the per-user online sets — hence
+    // availability — degrade exactly monotonically.
+    std::vector<std::vector<DaySchedule>> degraded(reps);
+    for (std::size_t r = 0; r < reps; ++r) {
+      net::FaultPlan realization = base_plan;
+      realization.seed = util::mix64(seed_, base_plan.seed, r);
+      net::FaultInjector injector(net::scaled(realization, f));
+      const auto& from = ideal[model->randomized() ? r : 0];
+      degraded[r].reserve(from.size());
+      for (std::size_t u = 0; u < from.size(); ++u)
+        degraded[r].push_back(injector.degrade_day(u, from[u]));
+      injector.flush_stats();
     }
+    // Placement sees the ideal schedules; only the evaluation runs on the
+    // degraded ones. x = 0 in the stream id keeps randomized placements
+    // identical across intensities, preserving nesting.
+    const auto curves = sweep_policies(spans_of(ideal), spans_of(degraded),
+                                       cohort_users, connectivity, k,
+                                       kFaultTag, 0, options, pool);
+    for (std::size_t p = 0; p < curves.size(); ++p)
+      result.policies[p].points.push_back(curves[p].back());  // fixed k
   }
   return result;
 }
@@ -358,7 +378,8 @@ std::vector<UserMetrics> Study::cohort_samples(
     std::size_t k, const Options& options) const {
   obs::ScopedTimer span("study.cohort_samples");
   const auto model = onlinetime::make_model(model_kind, params);
-  const auto cohort_users = cohort(options.cohort_degree);
+  const auto cohort_users =
+      cohort(options.cohort_degree, options.cohort_limit);
   DOSN_REQUIRE(!cohort_users.empty(),
                "cohort_samples: no user has the cohort degree");
 
@@ -368,24 +389,15 @@ std::vector<UserMetrics> Study::cohort_samples(
                                              options.policy_params);
   const std::uint64_t stream_seed = sweep_stream(
       seed_, kSamplesTag, 0, static_cast<std::uint64_t>(policy_kind), 0);
-
-  study_metrics().users_evaluated.add(cohort_users.size());
-  util::ThreadPool pool(options.threads);
-  std::vector<UserMetrics> samples(cohort_users.size());
-  util::parallel_for_each(&pool, cohort_users.size(), [&](std::size_t i) {
-    const graph::UserId u = cohort_users[i];
-    placement::PlacementContext context;
-    context.user = u;
-    context.candidates = dataset_.graph.contacts(u);
-    context.schedules = schedules;
-    context.trace = &dataset_.trace;
-    context.connectivity = connectivity;
-    context.max_replicas = k;
-    util::Rng rng(util::mix64(stream_seed, u));
-    const auto selected = policy->select(context, rng);
-    samples[i] =
-        evaluate_user(dataset_, schedules, u, selected, connectivity);
-  });
+  std::optional<util::ThreadPool> local_pool;
+  const auto rows = evaluate_cohort(schedules, schedules, cohort_users,
+                                    *policy, connectivity, k, stream_seed,
+                                    sweep_pool(options, local_pool));
+  // Row k of each user: its whole selection (at most k replicas).
+  std::vector<UserMetrics> samples;
+  samples.reserve(cohort_users.size());
+  for (std::size_t i = 0; i < cohort_users.size(); ++i)
+    samples.push_back(rows[i * (k + 1) + k]);
   return samples;
 }
 
@@ -404,55 +416,72 @@ SweepResult Study::user_degree_sweep(std::size_t max_degree,
                                      placement::Connectivity connectivity,
                                      const Options& options) const {
   obs::ScopedTimer span("study.user_degree_sweep");
-  const std::size_t model_reps =
-      model.randomized() ? options.repetitions : 1;
-  std::vector<std::vector<DaySchedule>> schedules;
-  for (std::size_t r = 0; r < model_reps; ++r) {
-    util::Rng rng(util::mix64(seed_, 0xde60000 + r));
-    schedules.push_back(model.schedules(dataset_, rng));
-  }
-
-  SweepResult result;
-  result.dataset_name = dataset_.name;
-  result.model_name = model.name();
-  result.connectivity_name = placement::to_string(connectivity);
-  result.x_label = "user degree";
-  for (std::size_t d = 1; d <= max_degree; ++d)
-    result.xs.push_back(static_cast<double>(d));
-
-  result.policies.resize(options.policies.size());
-  for (std::size_t p = 0; p < options.policies.size(); ++p) {
-    const auto policy =
-        placement::make_policy(options.policies[p], options.policy_params);
-    result.policies[p].policy_name = policy->name();
-    result.policies[p].policy = options.policies[p];
-  }
-
-  util::ThreadPool pool(options.threads);
+  const auto realized = realize_schedules(model, dataset_, options.repetitions,
+                                          seed_, 0xde60000);
+  const auto schedules = spans_of(realized);
+  SweepResult result = sweep_header(dataset_, model.name(), connectivity,
+                                    "user degree", options);
+  std::optional<util::ThreadPool> local_pool;
+  util::ThreadPool& pool = sweep_pool(options, local_pool);
   for (std::size_t d = 1; d <= max_degree; ++d) {
-    const auto cohort_users = cohort(d);
-    for (std::size_t p = 0; p < options.policies.size(); ++p) {
-      if (cohort_users.empty()) {
-        result.policies[p].points.emplace_back();  // empty cohort: zeros
-        continue;
-      }
-      const auto policy =
-          placement::make_policy(options.policies[p], options.policy_params);
-      const std::size_t reps =
-          (model.randomized() || policy->randomized()) ? options.repetitions
-                                                       : 1;
-      std::vector<CohortMetrics> runs;
-      for (std::size_t r = 0; r < reps; ++r) {
-        const auto& sched = schedules[model.randomized() ? r : 0];
-        const auto by_k = evaluate_policy_over_ks(
-            sched, cohort_users, *policy, options.policy_params, connectivity,
-            /*k_max=*/d, sweep_stream(seed_, kDegreeTag, d, p, r), pool);
-        runs.push_back(by_k.back());  // k = user degree (max possible)
-      }
-      result.policies[p].points.push_back(average_runs(runs));
+    result.xs.push_back(static_cast<double>(d));
+    const auto cohort_users = cohort(d, options.cohort_limit);
+    if (cohort_users.empty()) {
+      for (auto& curve : result.policies)
+        curve.points.emplace_back();  // empty cohort: zeros
+      continue;
     }
+    const auto curves =
+        sweep_policies(schedules, schedules, cohort_users, connectivity,
+                       /*k_max=*/d, kDegreeTag, d, options, pool);
+    for (std::size_t p = 0; p < curves.size(); ++p)
+      result.policies[p].points.push_back(curves[p].back());  // k = degree
   }
   return result;
+}
+
+std::uint64_t sweep_checksum(const SweepResult& result) {
+  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mix_double = [&mix](double d) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &d, sizeof(bits));
+    mix(bits);
+  };
+  const auto mix_str = [&h](const std::string& s) {
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ULL;
+    }
+  };
+  mix_str(result.dataset_name);
+  mix_str(result.model_name);
+  mix_str(result.connectivity_name);
+  mix(result.xs.size());
+  for (const double x : result.xs) mix_double(x);
+  mix(result.policies.size());
+  for (const auto& curve : result.policies) {
+    mix_str(curve.policy_name);
+    mix(curve.points.size());
+    for (const auto& m : curve.points) {
+      mix_double(m.availability);
+      mix_double(m.max_availability);
+      mix_double(m.aod_time);
+      mix_double(m.aod_activity);
+      mix_double(m.aod_activity_expected);
+      mix_double(m.aod_activity_unexpected);
+      mix_double(m.delay_actual_h);
+      mix_double(m.delay_observed_h);
+      mix_double(m.replicas_used);
+      mix(m.cohort_size);
+    }
+  }
+  return h;
 }
 
 }  // namespace dosn::sim

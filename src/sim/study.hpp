@@ -1,6 +1,6 @@
 // The experiment driver reproducing the paper's evaluation (Sec IV–V).
 //
-// A Study wraps one dataset and runs the three sweeps behind every figure:
+// A Study wraps one dataset and runs the sweeps behind every figure:
 //
 //   * replication_sweep  — metrics vs replication degree k = 0..k_max for
 //     every policy, one online-time model, ConRep or UnconRep
@@ -11,7 +11,8 @@
 //     (Fig 9);
 //   * resilience_sweep — metrics vs fault intensity at a fixed k: the
 //     hardening ablation, measuring how placements chosen under ideal
-//     assumptions degrade when nodes deviate from their schedules.
+//     assumptions degrade when nodes deviate from their schedules;
+//   * cohort_samples — the per-user rows behind one cohort mean.
 //
 // Methodology follows the paper: the evaluation cohort is the users of one
 // particular degree (degree 10 — the best-populated); experiments whose
@@ -19,15 +20,28 @@
 // repeated and averaged (default 5 repetitions); deterministic experiments
 // run once. Everything derives from one seed.
 //
+// One engine: every sweep runs through the same private cohort evaluator.
+// For each cohort user a policy selects up to k_max replicas and
+// evaluate_user_prefixes scores every prefix k = 0..k_max at once; the
+// fixed-k sweeps read row k_max, which equals evaluate_user on the first
+// min(k, |selected|) replicas bit for bit. The million-user scale path is
+// the same engine: a replication_sweep overload takes precomputed
+// schedules (synth::build_scale_study_input builds them chunk by chunk),
+// and Options::cohort_limit caps the evaluated cohort.
+//
 // Parallel execution: cohort users are evaluated concurrently on a
-// deterministic util::ThreadPool. Every (sweep cell, user) pair draws from
-// its own RNG stream derived with util::mix64, and per-user results are
-// reduced in cohort index order, so for a fixed seed the output is
-// bit-identical for every thread count (Options::threads / DOSN_THREADS),
-// including the serial threads = 1 reference.
+// deterministic util::ThreadPool (the runtime splits the user range into
+// steal blocks). Each worker reuses one EvalScratch arena and one row
+// buffer across every user it evaluates, so steady-state evaluation does
+// not allocate. Every (sweep cell, user) pair draws from its own RNG
+// stream derived with util::mix64, and per-user rows are reduced in cohort
+// index order, so for a fixed seed the output is bit-identical for every
+// thread count (Options::threads / DOSN_THREADS), including the serial
+// threads = 1 reference.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/fault.hpp"
@@ -52,7 +66,7 @@ struct CohortMetrics {
   std::size_t cohort_size = 0;
 
   /// Exact (bit-level) comparison — the differential tests assert the
-  /// streaming engine reproduces the seed engine bit for bit.
+  /// engine reproduces their serial reference bit for bit.
   friend bool operator==(const CohortMetrics&, const CohortMetrics&) = default;
 };
 
@@ -121,6 +135,17 @@ struct StudyOptions {
   /// environment variable, falling back to the hardware concurrency.
   /// Results are bit-identical for every value; 1 runs fully serial.
   std::size_t threads = 0;
+  /// Evaluate only the first `cohort_limit` cohort users (in user-id
+  /// order); 0 = the whole cohort. A deterministic cap for the scale
+  /// bench, where a million-user population yields tens of thousands of
+  /// degree-d cohort users.
+  std::size_t cohort_limit = 0;
+  /// Shared worker pool. When set, sweeps run on this pool (its
+  /// work-stealing runtime stays warm across generation and every sweep —
+  /// no teardown/re-fork between pipeline phases) and `threads` is
+  /// ignored; when null, each sweep constructs its own pool from
+  /// `threads`. Results are bit-identical either way.
+  util::ThreadPool* pool = nullptr;
 };
 
 class Study {
@@ -131,8 +156,10 @@ class Study {
 
   const trace::Dataset& dataset() const { return dataset_; }
 
-  /// Users with degree exactly `degree`.
-  std::vector<graph::UserId> cohort(std::size_t degree) const;
+  /// Users with degree exactly `degree` (the sweep cohort), truncated to
+  /// `limit` when non-zero.
+  std::vector<graph::UserId> cohort(std::size_t degree,
+                                    std::size_t limit = 0) const;
 
   /// Figs 3–7, 10, 11: metrics vs replication degree.
   SweepResult replication_sweep(onlinetime::ModelKind model,
@@ -146,10 +173,20 @@ class Study {
                                 placement::Connectivity connectivity,
                                 const Options& options = Options{}) const;
 
+  /// Same sweep over precomputed deterministic schedules (one realization
+  /// for every user of the dataset). Equivalent to a deterministic model
+  /// that returns `schedules`: policy repetitions still follow
+  /// options.repetitions for randomized policies.
+  SweepResult replication_sweep(std::span<const DaySchedule> schedules,
+                                std::string_view model_name,
+                                placement::Connectivity connectivity,
+                                const Options& options = Options{}) const;
+
   /// Fig 8: metrics vs Sporadic session length at fixed k.
   SweepResult session_length_sweep(
       std::span<const interval::Seconds> session_lengths, std::size_t k,
-      placement::Connectivity connectivity, const Options& options = Options{}) const;
+      placement::Connectivity connectivity,
+      const Options& options = Options{}) const;
 
   /// Resilience ablation: metrics vs fault intensity at a fixed
   /// replication degree k. Placements are selected on the *ideal*
@@ -191,21 +228,51 @@ class Study {
                                 const Options& options = Options{}) const;
 
  private:
-  /// Averages user metrics over `cohort` for each k in 0..k_max for one
-  /// policy under one set of schedules. Users fan out across `pool`; user
-  /// i draws from the stream mix64(stream_seed, user_id), and per-user
-  /// rows merge in cohort index order, so the result does not depend on
-  /// the pool's thread count.
-  std::vector<CohortMetrics> evaluate_policy_over_ks(
-      std::span<const DaySchedule> schedules,
+  /// Schedule sets, one per repetition, or a single entry that every
+  /// repetition shares.
+  using Realizations = std::vector<std::span<const DaySchedule>>;
+
+  /// The cohort evaluator behind every sweep. Each cohort user (in
+  /// parallel on `pool`) gets a replica selection made by `policy` on
+  /// `placement_schedules`, drawn from the stream mix64(stream_seed,
+  /// user_id), and every prefix k = 0..k_max of it is scored on
+  /// `evaluation_schedules`. User i's row k lands at index
+  /// i * (k_max + 1) + k of the result.
+  std::vector<UserMetrics> evaluate_cohort(
+      std::span<const DaySchedule> placement_schedules,
+      std::span<const DaySchedule> evaluation_schedules,
       std::span<const graph::UserId> cohort_users,
       const placement::ReplicaPolicy& policy,
-      const placement::PolicyParams& params,
       placement::Connectivity connectivity, std::size_t k_max,
       std::uint64_t stream_seed, util::ThreadPool& pool) const;
+
+  /// The sweep driver: for every policy, cohort means at k = 0..k_max
+  /// averaged over its repetitions. Repetition r places on
+  /// placement_sets[r] and evaluates on evaluation_sets[r] (entry 0 of a
+  /// single-entry set) and draws from sweep_stream(seed, tag, x, policy
+  /// slot, r). A policy repeats when it or the model (more than one
+  /// placement realization) is randomized.
+  std::vector<std::vector<CohortMetrics>> sweep_policies(
+      const Realizations& placement_sets, const Realizations& evaluation_sets,
+      std::span<const graph::UserId> cohort_users,
+      placement::Connectivity connectivity, std::size_t k_max,
+      std::uint64_t tag, std::uint64_t x, const Options& options,
+      util::ThreadPool& pool) const;
+
+  /// replication_sweep over ready schedule realizations.
+  SweepResult replication_sweep_over(const Realizations& schedules,
+                                     std::string_view model_name,
+                                     placement::Connectivity connectivity,
+                                     const Options& options) const;
 
   const trace::Dataset& dataset_;
   std::uint64_t seed_;
 };
+
+/// Order-sensitive FNV-1a checksum over every numeric field of a sweep
+/// (xs, all CohortMetrics doubles bit-patterns, cohort sizes and curve
+/// names). Two sweeps compare equal iff their checksums match in practice;
+/// the scale bench uses it to assert cross-thread identity.
+std::uint64_t sweep_checksum(const SweepResult& result);
 
 }  // namespace dosn::sim

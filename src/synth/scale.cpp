@@ -45,10 +45,10 @@ struct FoldState {
 
   FoldState(graph::SocialGraph g, const std::vector<UserId>& cohort,
             std::uint64_t seed, Seconds session_length)
-      // Session offsets draw from the seed engine's rep-0 schedule stream
-      // (sim::detail::schedule_stream(seed, 0) = mix64(seed, 0x5ced0000)),
-      // so the schedules equal what Study/StreamingStudy would generate
-      // from the materialized dataset.
+      // Session offsets draw from the study engine's rep-0 schedule stream
+      // (mix64(seed, sim::detail::kScheduleStreamBase) = mix64(seed,
+      // 0x5ced0000)), so the schedules equal what Study would generate from
+      // the materialized dataset.
       : graph(std::move(g)),
         in_cohort(graph.num_users(), false),
         sched_rng(util::mix64(seed, 0x5ced0000)),

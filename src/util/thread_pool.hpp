@@ -6,7 +6,7 @@
 // chunk [w·n/T, (w+1)·n/T) — a steal-free run executes exactly the old
 // static partition — but the slab is split into steal-granularity blocks,
 // and idle workers steal straggling blocks from loaded peers, so
-// heavy-degree shards no longer serialize the loop.
+// heavy-degree slabs no longer serialize the loop.
 //
 // The determinism contract is unchanged: callers that need bit-identical
 // results across thread counts write into per-index slots and reduce
@@ -44,7 +44,7 @@ class ThreadPool {
 
   /// The underlying work-stealing runtime, for callers that share one
   /// warm worker set across pipeline stages (e.g. chunked generation
-  /// followed by shard evaluation — no teardown/re-fork between phases).
+  /// followed by cohort evaluation — no teardown/re-fork between phases).
   PipelineRuntime& runtime() { return runtime_; }
 
   /// Runs fn(i) for every i in [0, n); indices within one steal block run

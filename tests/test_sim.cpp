@@ -8,7 +8,6 @@
 
 #include "graph/degree_stats.hpp"
 #include "obs/obs.hpp"
-#include "sim/streaming.hpp"
 #include "sim/study.hpp"
 #include "synth/presets.hpp"
 #include "util/error.hpp"
@@ -549,11 +548,10 @@ std::uint64_t samples_checksum(const std::vector<UserMetrics>& samples) {
   return h;
 }
 
-// Every sweep's digest, pinned to the values the engine produced before
-// the sweeps were consolidated onto one cohort evaluator. The thread-count
-// tests above only compare an engine with itself, so a change that moves a
-// point by the same amount on every thread count passes them; these
-// digests do not move unless a result does.
+// Every sweep's digest, pinned. The thread-count tests above compare the
+// engine only with itself, so a change that moves a point by the same
+// amount on every thread count passes them; these digests move whenever a
+// result does.
 TEST_F(StudySweeps, SweepDigestsPinned) {
   Study study(*dataset_, 20120618);
   auto opts = fast_options();

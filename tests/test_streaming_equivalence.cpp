@@ -1,18 +1,19 @@
-// Differential tests of the streaming scale path against the seed engine.
+// Differential tests of the study engine and the million-user input path.
 //
-// The StreamingStudy contract is bit-identity: for every shard size and
-// thread count, its sweeps must equal Study's on the same dataset, seed and
-// options — not approximately, but double for double. Likewise the chunked
-// million-user input builder (synth::build_scale_study_input) must
-// reproduce the materialized generate_raw + SporadicModel pipeline exactly
-// (schedules equal, trace equal restricted to cohort receivers, sweeps
-// equal). These tests pin both contracts at small N where the materialized
-// path is cheap.
+// Study runs every sweep through one parallel cohort evaluator. Its
+// replication sweep must equal a serial reference kept here — per user,
+// select and then evaluate_user on each replication prefix separately,
+// reduced in cohort order — not approximately, but double for double, for
+// every thread count. Likewise the chunked million-user input builder
+// (synth::build_scale_study_input) must reproduce the materialized
+// generate_raw + SporadicModel pipeline exactly (schedules equal, trace
+// equal restricted to cohort receivers, sweeps equal). These tests pin
+// both contracts at small N where the reference paths are cheap.
 #include <gtest/gtest.h>
 
 #include "graph/degree_stats.hpp"
 #include "onlinetime/sporadic.hpp"
-#include "sim/streaming.hpp"
+#include "sim/cohort_accum.hpp"
 #include "sim/study.hpp"
 #include "synth/presets.hpp"
 #include "synth/scale.hpp"
@@ -20,8 +21,9 @@
 namespace dosn {
 namespace {
 
+using onlinetime::ModelKind;
 using placement::Connectivity;
-using sim::StreamingStudy;
+using sim::CohortMetrics;
 using sim::Study;
 using sim::SweepResult;
 
@@ -78,54 +80,108 @@ sim::StudyOptions base_options() {
   return o;
 }
 
-class StreamingEquivalence : public ::testing::TestWithParam<std::size_t> {};
+// The serial reference of Study::replication_sweep: one user at a time, one
+// replication prefix at a time through evaluate_user (no prefix-incremental
+// evaluation, no worker arenas, no thread pool), on the engine's RNG
+// streams, reduced in cohort order with the engine's reduction helpers.
+SweepResult reference_replication_sweep(const trace::Dataset& dataset,
+                                        std::uint64_t seed, ModelKind kind,
+                                        Connectivity connectivity,
+                                        const sim::StudyOptions& options) {
+  const auto model = onlinetime::make_model(kind, {});
+  std::vector<std::vector<sim::DaySchedule>> schedules;
+  for (std::size_t r = 0; r < (model->randomized() ? options.repetitions : 1);
+       ++r) {
+    util::Rng rng(util::mix64(seed, sim::detail::kScheduleStreamBase + r));
+    schedules.push_back(model->schedules(dataset, rng));
+  }
+  const auto cohort =
+      graph::users_with_degree(dataset.graph, options.cohort_degree);
 
-// The tentpole contract: StreamingStudy == Study for every shard size and
-// thread count, across all policies, at N = 1k and 10k.
-TEST_P(StreamingEquivalence, MatchesStudyAcrossShardSizesAndThreadCounts) {
+  SweepResult result;
+  result.dataset_name = dataset.name;
+  result.model_name = model->name();
+  result.connectivity_name = placement::to_string(connectivity);
+  for (std::size_t k = 0; k <= options.k_max; ++k)
+    result.xs.push_back(static_cast<double>(k));
+  for (std::size_t p = 0; p < options.policies.size(); ++p) {
+    const auto policy =
+        placement::make_policy(options.policies[p], options.policy_params);
+    const std::size_t reps = (model->randomized() || policy->randomized())
+                                 ? options.repetitions
+                                 : 1;
+    std::vector<std::vector<CohortMetrics>> runs;
+    for (std::size_t r = 0; r < reps; ++r) {
+      const auto& sched = schedules[model->randomized() ? r : 0];
+      const std::uint64_t stream =
+          sim::sweep_stream(seed, sim::detail::kReplicationTag, 0, p, r);
+      std::vector<sim::detail::CohortAccum> accum(options.k_max + 1);
+      for (const graph::UserId u : cohort) {
+        placement::PlacementContext context;
+        context.user = u;
+        context.candidates = dataset.graph.contacts(u);
+        context.schedules = sched;
+        context.trace = &dataset.trace;
+        context.connectivity = connectivity;
+        context.max_replicas = options.k_max;
+        util::Rng rng(util::mix64(stream, u));
+        const auto selected = policy->select(context, rng);
+        for (std::size_t k = 0; k <= options.k_max; ++k) {
+          const std::size_t take = std::min(k, selected.size());
+          accum[k].add(sim::evaluate_user(dataset, sched, u,
+                                          {selected.data(), take},
+                                          connectivity));
+        }
+      }
+      std::vector<CohortMetrics> run;
+      for (const auto& a : accum) run.push_back(a.mean());
+      runs.push_back(std::move(run));
+    }
+    sim::PolicyCurve curve;
+    curve.policy_name = policy->name();
+    curve.policy = options.policies[p];
+    for (std::size_t k = 0; k <= options.k_max; ++k) {
+      std::vector<CohortMetrics> at_k;
+      for (const auto& run : runs) at_k.push_back(run[k]);
+      curve.points.push_back(sim::detail::average_runs(at_k));
+    }
+    result.policies.push_back(std::move(curve));
+  }
+  return result;
+}
+
+class StudyOracle : public ::testing::TestWithParam<std::size_t> {};
+
+// Study == its serial reference for every thread count, across all
+// policies, under ConRep (deterministic Sporadic model) and UnconRep
+// (randomized RandomLength model, one realization per repetition), at
+// N = 1k and 10k.
+TEST_P(StudyOracle, MatchesSerialReferenceAcrossThreadCounts) {
   const auto dataset = make_dataset(GetParam());
   const std::size_t degree =
       graph::most_populated_degree(dataset.graph, 5, 15);
-
   Study study(dataset, kSeed);
-  StreamingStudy streaming(dataset, kSeed);
 
   auto options = base_options();
   options.cohort_degree = degree;
   options.k_max = std::min<std::size_t>(options.k_max, degree);
-  const auto baseline = study.replication_sweep(
-      onlinetime::ModelKind::kSporadic, {}, Connectivity::kConRep, options);
-
-  for (const std::size_t shard_size : {1, 7, 64}) {
+  for (const auto& [kind, connectivity] :
+       {std::pair{ModelKind::kSporadic, Connectivity::kConRep},
+        std::pair{ModelKind::kRandomLength, Connectivity::kUnconRep}}) {
+    const auto reference = reference_replication_sweep(
+        dataset, kSeed, kind, connectivity, options);
     for (const std::size_t threads : {1, 4}) {
-      StreamingStudy::Options streaming_options;
-      static_cast<sim::StudyOptions&>(streaming_options) = options;
-      streaming_options.shard_size = shard_size;
-      streaming_options.threads = threads;
-      const auto sweep = streaming.replication_sweep(
-          onlinetime::ModelKind::kSporadic, {}, Connectivity::kConRep,
-          streaming_options);
-      SCOPED_TRACE("shard_size=" + std::to_string(shard_size) +
+      options.threads = threads;
+      SCOPED_TRACE(reference.model_name + " " + reference.connectivity_name +
                    " threads=" + std::to_string(threads));
-      expect_sweeps_identical(baseline, sweep);
+      expect_sweeps_identical(
+          reference,
+          study.replication_sweep(kind, {}, connectivity, options));
     }
   }
-
-  // UnconRep spot check at one non-trivial configuration.
-  const auto uncon_baseline = study.replication_sweep(
-      onlinetime::ModelKind::kSporadic, {}, Connectivity::kUnconRep, options);
-  StreamingStudy::Options streaming_options;
-  static_cast<sim::StudyOptions&>(streaming_options) = options;
-  streaming_options.shard_size = 7;
-  streaming_options.threads = 4;
-  expect_sweeps_identical(
-      uncon_baseline,
-      streaming.replication_sweep(onlinetime::ModelKind::kSporadic, {},
-                                  Connectivity::kUnconRep,
-                                  streaming_options));
 }
 
-INSTANTIATE_TEST_SUITE_P(Populations, StreamingEquivalence,
+INSTANTIATE_TEST_SUITE_P(Populations, StudyOracle,
                          ::testing::Values(1000, 10000));
 
 // The chunked scale-input builder reproduces the materialized pipeline:
@@ -147,9 +203,9 @@ TEST(ScaleInput, MatchesMaterializedPipeline) {
   ASSERT_EQ(full.num_users(), kUsers);
   ASSERT_EQ(input.dataset.num_users(), kUsers);
 
-  // Schedules: SporadicModel over the full dataset under the seed engine's
-  // rep-0 schedule stream.
-  util::Rng sched_rng(util::mix64(kSeed, 0x5ced0000));
+  // Schedules: SporadicModel over the full dataset under Study's rep-0
+  // schedule stream.
+  util::Rng sched_rng(util::mix64(kSeed, sim::detail::kScheduleStreamBase));
   const onlinetime::SporadicModel model(config.session_length);
   const auto expected_schedules = model.schedules(full, sched_rng);
   ASSERT_EQ(input.schedules.size(), expected_schedules.size());
@@ -178,25 +234,22 @@ TEST(ScaleInput, MatchesMaterializedPipeline) {
   }
 
   // End to end: the precomputed-schedules sweep over the restricted input
-  // equals the seed Study sweep over the materialized dataset.
+  // equals the model-driven sweep over the materialized dataset.
   auto options = base_options();
   options.cohort_degree = input.cohort_degree;
   options.k_max = std::min<std::size_t>(options.k_max, input.cohort_degree);
   Study study(full, kSeed);
   const auto baseline = study.replication_sweep(
-      onlinetime::ModelKind::kSporadic,
+      ModelKind::kSporadic,
       {.session_length = config.session_length}, Connectivity::kConRep,
       options);
 
-  StreamingStudy streaming(input.dataset, kSeed);
-  StreamingStudy::Options streaming_options;
-  static_cast<sim::StudyOptions&>(streaming_options) = options;
-  streaming_options.shard_size = 64;
-  streaming_options.threads = 4;
+  Study restricted(input.dataset, kSeed);
+  options.threads = 4;
   expect_sweeps_identical(
       baseline,
-      streaming.replication_sweep(input.schedules, input.model_name,
-                                  Connectivity::kConRep, streaming_options));
+      restricted.replication_sweep(input.schedules, input.model_name,
+                                   Connectivity::kConRep, options));
 }
 
 // The pipelined scale-input builder (producer thread + SPSC chunk queue +
@@ -241,16 +294,15 @@ TEST(ScalePipeline, PipelinedInputMatchesSerialBuilder) {
   }
 }
 
-// The ISSUE acceptance matrix, pinned as a test: sweep_checksum is
-// bit-identical across thread counts {1, 2, 4, 8} × shard sizes
-// {1, 64, 1024} under the work-stealing runtime, with steal granularity
-// forced to 1 so steal traffic is maximal. Runs under the TSan CI job
-// (suite name carries "ScalePipeline").
-TEST(ScalePipeline, SweepChecksumIdenticalAcrossThreadsAndShards) {
+// sweep_checksum is bit-identical across thread counts {1, 2, 4, 8} on a
+// shared work-stealing pool, with steal granularity forced to 1 so steal
+// traffic is maximal. Runs under the TSan CI job (suite name carries
+// "ScalePipeline").
+TEST(ScalePipeline, SweepChecksumIdenticalAcrossThreads) {
   const auto dataset = make_dataset(1000);
   const std::size_t degree =
       graph::most_populated_degree(dataset.graph, 5, 15);
-  StreamingStudy streaming(dataset, kSeed);
+  Study study(dataset, kSeed);
 
   auto options = base_options();
   options.cohort_degree = degree;
@@ -261,22 +313,16 @@ TEST(ScalePipeline, SweepChecksumIdenticalAcrossThreadsAndShards) {
   for (const std::size_t threads : {1, 2, 4, 8}) {
     util::ThreadPool pool(
         util::RuntimeOptions{.threads = threads, .steal_grain = 1});
-    for (const std::size_t shard_size : {1, 64, 1024}) {
-      StreamingStudy::Options streaming_options;
-      static_cast<sim::StudyOptions&>(streaming_options) = options;
-      streaming_options.shard_size = shard_size;
-      streaming_options.pool = &pool;
-      const auto sweep = streaming.replication_sweep(
-          onlinetime::ModelKind::kSporadic, {}, Connectivity::kConRep,
-          streaming_options);
-      const std::uint64_t checksum = sim::sweep_checksum(sweep);
-      if (!have_reference) {
-        reference = checksum;
-        have_reference = true;
-      }
-      EXPECT_EQ(checksum, reference)
-          << "threads=" << threads << " shard_size=" << shard_size;
+    options.pool = &pool;
+    const auto sweep = study.replication_sweep(
+        ModelKind::kSporadic, {}, Connectivity::kConRep, options);
+    options.pool = nullptr;
+    const std::uint64_t checksum = sim::sweep_checksum(sweep);
+    if (!have_reference) {
+      reference = checksum;
+      have_reference = true;
     }
+    EXPECT_EQ(checksum, reference) << "threads=" << threads;
   }
 }
 

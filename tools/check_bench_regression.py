@@ -14,6 +14,16 @@ correctness
     addition: the gate prints a warning so the baseline gets refreshed,
     but does not fail — new coverage must never be punished.
 
+checksum
+    A scenario that carries a ``checksum`` in both reports must carry the
+    same one. The checksums digest deterministic, seed-fixed results (sweep
+    points, request logs), so they do not depend on the hardware, and
+    ``outputs_identical`` alone cannot see a change that shifts the result
+    the same way on every thread count. Every checksummed scenario name
+    encodes its population (``scale_100000``, ``serve_100000_*``), so a
+    subset rerun meets exactly its own baseline rows. There is no override:
+    a deliberate change of results commits the new baseline file.
+
 performance
     Raw milliseconds are machine-dependent (the committed baseline and the
     CI runner are different hardware), so timings are never compared
@@ -127,7 +137,6 @@ RSS_WARN_FRACTION = 0.50
 # core count, which baseline and CI need not share.
 SPEEDUP_PAIRS = [
     ("sweep_parallel_ms", "sweep_serial_ms"),
-    ("sweep_reshard_ms", "sweep_serial_ms"),
     ("gen_pipelined_ms", "gen_ms"),
 ]
 
@@ -218,6 +227,17 @@ def warn_on_rss_growth(name: str, base: dict, cur: dict) -> None:
                 f"{growth * 100.0:+.0f}% ({base_value} -> {cur_value} MiB) — "
                 "memory envelope drift, check before refreshing the baseline"
             )
+
+
+def check_checksum(name: str, base: dict, cur: dict) -> list[str]:
+    """Hard gate: a checksum both reports carry must not change."""
+    if "checksum" not in base or "checksum" not in cur:
+        return []
+    if base["checksum"] == cur["checksum"]:
+        return []
+    return [f"{name}: checksum {cur['checksum']} differs from the committed "
+            f"baseline's {base['checksum']} — the results changed; commit "
+            "the new baseline if the change is intended"]
 
 
 def check_latency_gates(name: str, base: dict, cur: dict,
@@ -343,6 +363,7 @@ def compare(baseline: dict, current: dict, threshold: float,
         warn_on_speedup_regression(name, base, cur)
         warn_on_serving_drift(name, base, cur, threshold)
         warn_on_scenario_hardware_mismatch(name, base, cur, baseline, current)
+        failures.extend(check_checksum(name, base, cur))
         failures.extend(check_latency_gates(name, base, cur, threshold))
         base_ratios = scenario_ratios(base)
         cur_ratios = scenario_ratios(cur)
@@ -485,6 +506,28 @@ def self_test() -> int:
         failures += 1
         print("self-test FAIL: missing scenario must fail by default")
 
+    # Checksums are hard and hardware-independent: the same checksum passes
+    # even when every timing differs; a shifted one fails; a baseline
+    # without the field (an older report) compares nothing.
+    summed = copy.deepcopy(scale_baseline)
+    summed["scenarios"][0]["checksum"] = 16613602470719132221
+    same = copy.deepcopy(summed)
+    same["scenarios"][0]["sweep_parallel_ms"] = 5000.0
+    print("self-test: identical checksum passes")
+    if compare(summed, same, DEFAULT_THRESHOLD):
+        failures += 1
+        print("self-test FAIL: an unchanged checksum must pass")
+    shifted = copy.deepcopy(summed)
+    shifted["scenarios"][0]["checksum"] = 16613602470719132222
+    print("self-test: shifted checksum fails")
+    if not compare(summed, shifted, DEFAULT_THRESHOLD):
+        failures += 1
+        print("self-test FAIL: a shifted checksum must fail")
+    print("self-test: checksum missing from the baseline compares nothing")
+    if compare(scale_baseline, shifted, DEFAULT_THRESHOLD):
+        failures += 1
+        print("self-test FAIL: a baseline without checksums must pass")
+
     # Peak RSS is warn-only: a doubled memory envelope must not fail the
     # gate (it prints a warning for a human).
     bloated = copy.deepcopy(scale_baseline)
@@ -502,8 +545,7 @@ def self_test() -> int:
         "scenarios": [
             {"name": "scale_100000", "outputs_identical": True,
              "gen_ms": 500.0, "gen_pipelined_ms": 400.0,
-             "sweep_serial_ms": 1000.0, "sweep_parallel_ms": 400.0,
-             "sweep_reshard_ms": 420.0},
+             "sweep_serial_ms": 1000.0, "sweep_parallel_ms": 400.0},
         ],
     }
     flat = copy.deepcopy(speedup_baseline)
@@ -607,7 +649,7 @@ def self_test() -> int:
     if failures:
         print(f"self-test: {failures} case(s) failed")
         return 1
-    print("self-test OK (25 cases)")
+    print("self-test OK (28 cases)")
     return 0
 
 
