@@ -17,20 +17,26 @@ DaySchedule::DaySchedule(IntervalSet within_day) : set_(std::move(within_day)) {
 }
 
 DaySchedule DaySchedule::project(std::span<const Interval> absolute) {
-  IntervalSet day;
+  // Collect the within-day pieces and normalize once. The canonical form
+  // is unique, so a union covering the whole cycle is always() already,
+  // and the result equals folding the pieces in one IntervalSet::add at a
+  // time.
+  std::vector<Interval> pieces;
+  pieces.reserve(absolute.size());
   for (const auto& iv : absolute) {
     DOSN_REQUIRE(iv.start < iv.end, "DaySchedule::project: empty interval");
     if (iv.length() >= kDaySeconds) return always();
     const Seconds s = time_of_day(iv.start);
     const Seconds e = s + iv.length();
     if (e <= kDaySeconds) {
-      day.add(s, e);
+      pieces.push_back({s, e});
     } else {
-      day.add(s, kDaySeconds);
-      day.add(0, e - kDaySeconds);
+      pieces.push_back({s, kDaySeconds});
+      pieces.push_back({0, e - kDaySeconds});
     }
-    if (day.measure() == kDaySeconds) return always();
   }
+  IntervalSet day(std::move(pieces));
+  day.shrink_to_fit();  // a realization keeps one schedule per user
   return DaySchedule(std::move(day));
 }
 

@@ -261,15 +261,16 @@ void IntervalSet::normalize() {
             [](const Interval& a, const Interval& b) {
               return a.start < b.start;
             });
-  std::vector<Interval> out;
-  out.reserve(intervals_.size());
-  for (const auto& iv : intervals_) {
-    if (!out.empty() && iv.start <= out.back().end)
-      out.back().end = std::max(out.back().end, iv.end);
+  // Merge in place: `last` is the newest merged piece.
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < intervals_.size(); ++i) {
+    const Interval iv = intervals_[i];
+    if (iv.start <= intervals_[last].end)
+      intervals_[last].end = std::max(intervals_[last].end, iv.end);
     else
-      out.push_back(iv);
+      intervals_[++last] = iv;
   }
-  intervals_ = std::move(out);
+  intervals_.resize(last + 1);
 }
 
 IntervalSet operator|(const IntervalSet& a, const IntervalSet& b) {

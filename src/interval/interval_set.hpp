@@ -50,6 +50,10 @@ class IntervalSet {
   void add(Seconds start, Seconds end);
   void add(const Interval& iv) { add(iv.start, iv.end); }
 
+  /// Releases buffer capacity beyond the piece count — normalizing many
+  /// overlapping intervals leaves it behind. For sets that live long.
+  void shrink_to_fit() { intervals_.shrink_to_fit(); }
+
   bool empty() const { return intervals_.empty(); }
   std::size_t piece_count() const { return intervals_.size(); }
   std::span<const Interval> pieces() const { return intervals_; }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/strings.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dosn::onlinetime {
 
@@ -16,21 +17,27 @@ Seconds best_window_start(std::span<const Seconds> times_of_day,
   if (times_of_day.empty() || window_length >= kDaySeconds) return 0;
 
   // Some maximal window starts exactly at an activity time, so it suffices
-  // to evaluate those candidates on the circularly doubled, sorted list.
-  std::vector<Seconds> sorted(times_of_day.begin(), times_of_day.end());
+  // to evaluate those candidates. Over the sorted times t, the window from
+  // t[i] covers the circularly doubled list t[0..m) ++ t[0..m) + day from
+  // index i up to (not including) the first entry >= t[i] + length. That
+  // end index only grows with i, so one two-pointer sweep finds them all.
+  thread_local std::vector<Seconds> sorted;
+  sorted.assign(times_of_day.begin(), times_of_day.end());
   std::sort(sorted.begin(), sorted.end());
   const std::size_t m = sorted.size();
-  std::vector<Seconds> doubled(sorted);
-  doubled.reserve(2 * m);
-  for (Seconds t : sorted) doubled.push_back(t + kDaySeconds);
+  const auto doubled = [&](std::size_t k) {
+    return k < m ? sorted[k] : sorted[k - m] + kDaySeconds;
+  };
 
   std::size_t best_count = 0;
   Seconds best_start = sorted.front();
+  std::size_t end = 0;
   for (std::size_t i = 0; i < m; ++i) {
-    const auto end = std::lower_bound(doubled.begin(), doubled.end(),
-                                      sorted[i] + window_length);
-    const auto count = static_cast<std::size_t>(end - doubled.begin()) - i;
-    if (count > best_count) {
+    // Stops by index i + m at the latest: t[i] + day > t[i] + length.
+    const Seconds limit = sorted[i] + window_length;
+    while (doubled(end) < limit) ++end;
+    const std::size_t count = end - i;
+    if (count > best_count) {  // strict: the smallest start wins ties
       best_count = count;
       best_start = sorted[i];
     }
@@ -39,26 +46,48 @@ Seconds best_window_start(std::span<const Seconds> times_of_day,
 }
 
 std::vector<DaySchedule> ContinuousModel::schedules_impl(
-    const trace::Dataset& dataset, util::Rng& rng) const {
+    const trace::Dataset& dataset, util::Rng& rng,
+    util::ThreadPool* pool) const {
   const std::size_t n = dataset.num_users();
-  std::vector<DaySchedule> out(n);
-  std::vector<Seconds> times;
+
+  // Phase 1 (serial): per user in id order, the window length, then a
+  // uniform start for a user without activity whose window is shorter
+  // than a day — the rng's consumption order. Both fit 4 bytes (at most
+  // one day).
+  struct Draw {
+    std::uint32_t length = 0;
+    std::uint32_t start = 0;  // used only by users without activity
+  };
+  std::vector<Draw> draws(n);
   for (graph::UserId u = 0; u < n; ++u) {
     const Seconds len = std::min(window_length(u, rng), kDaySeconds);
     DOSN_ASSERT(len > 0);
+    draws[u].length = static_cast<std::uint32_t>(len);
+    if (len < kDaySeconds && dataset.trace.created_index(u).empty())
+      draws[u].start = static_cast<std::uint32_t>(rng.below(kDaySeconds));
+  }
+
+  // Phase 2 (parallel): each user's window over the activity mode.
+  std::vector<DaySchedule> out(n);
+  util::parallel_for_each(pool, n, [&](std::size_t u) {
+    const Seconds len = draws[u].length;
     if (len == kDaySeconds) {
       out[u] = DaySchedule::always();
-      continue;
+      return;
     }
-    times.clear();
-    for (std::uint32_t idx : dataset.trace.created_index(u))
-      times.push_back(time_of_day(dataset.trace.activity(idx).timestamp));
-    const Seconds start =
-        times.empty() ? static_cast<Seconds>(rng.below(kDaySeconds))
-                      : best_window_start(times, len);
+    const auto created = dataset.trace.created_index(
+        static_cast<graph::UserId>(u));
+    Seconds start = draws[u].start;
+    if (!created.empty()) {
+      thread_local std::vector<Seconds> times;
+      times.clear();
+      for (std::uint32_t idx : created)
+        times.push_back(time_of_day(dataset.trace.activity(idx).timestamp));
+      start = best_window_start(times, len);
+    }
     const interval::Interval window{start, start + len};
     out[u] = DaySchedule::project({&window, 1});
-  }
+  });
   return out;
 }
 

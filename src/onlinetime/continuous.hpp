@@ -12,8 +12,9 @@ namespace dosn::onlinetime {
 /// without activities receive a uniformly random window position.
 class ContinuousModel : public OnlineTimeModel {
  public:
-  std::vector<DaySchedule> schedules_impl(const trace::Dataset& dataset,
-                                     util::Rng& rng) const final;
+  std::vector<DaySchedule> schedules_impl(
+      const trace::Dataset& dataset, util::Rng& rng,
+      util::ThreadPool* pool) const final;
 
  protected:
   /// Window length for user u (may consult rng — RandomLength does).

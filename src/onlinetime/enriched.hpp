@@ -23,8 +23,9 @@ class EnrichedSporadicModel final : public OnlineTimeModel {
 
   std::string name() const override;
   bool randomized() const override { return true; }  // extra sessions drawn
-  std::vector<DaySchedule> schedules_impl(const trace::Dataset& dataset,
-                                     util::Rng& rng) const override;
+  std::vector<DaySchedule> schedules_impl(
+      const trace::Dataset& dataset, util::Rng& rng,
+      util::ThreadPool* pool) const override;
 
  private:
   Seconds session_length_;

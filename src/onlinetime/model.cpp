@@ -8,8 +8,9 @@
 namespace dosn::onlinetime {
 
 std::vector<DaySchedule> OnlineTimeModel::schedules(
-    const trace::Dataset& dataset, util::Rng& rng) const {
-  std::vector<DaySchedule> out = schedules_impl(dataset, rng);
+    const trace::Dataset& dataset, util::Rng& rng,
+    util::ThreadPool* pool) const {
+  std::vector<DaySchedule> out = schedules_impl(dataset, rng, pool);
   DOSN_CHECK(out.size() == dataset.num_users(), name(), ": produced ",
              out.size(), " schedules for ", dataset.num_users(), " users");
   return out;

@@ -15,6 +15,15 @@
 //                         uniformly from [2 h, 8 h].
 //
 // A model maps a whole dataset to one DaySchedule per user.
+//
+// The synthetic models realize schedules in two phases (DESIGN.md §7).
+// Phase 1 walks the users in id order on the calling thread and consumes
+// the caller's rng exactly as a plain serial loop would, recording every
+// draw in a flat buffer (Rng::below uses rejection sampling, so draws
+// cannot be skipped ahead; they are replayed in order). Phase 2 builds
+// each user's DaySchedule into its own slot from those recorded draws, in
+// parallel over the caller's pool. The output, and the rng's final state,
+// do not depend on the pool or its thread count.
 #pragma once
 
 #include <memory>
@@ -24,6 +33,10 @@
 #include "interval/day_schedule.hpp"
 #include "trace/dataset.hpp"
 #include "util/rng.hpp"
+
+namespace dosn::util {
+class ThreadPool;
+}  // namespace dosn::util
 
 namespace dosn::onlinetime {
 
@@ -47,13 +60,18 @@ class OnlineTimeModel {
   /// of the dataset (each DaySchedule already enforces the within-day
   /// invariant on construction). A model returning the wrong number of
   /// schedules would silently misalign every UserId-indexed lookup.
+  ///
+  /// `pool` runs the per-user build phase; null runs it serially on the
+  /// calling thread. The result is bit-identical either way.
   std::vector<DaySchedule> schedules(const trace::Dataset& dataset,
-                                     util::Rng& rng) const;
+                                     util::Rng& rng,
+                                     util::ThreadPool* pool = nullptr) const;
 
  protected:
   /// Model-specific generation; see schedules() for the enforced contract.
   virtual std::vector<DaySchedule> schedules_impl(
-      const trace::Dataset& dataset, util::Rng& rng) const = 0;
+      const trace::Dataset& dataset, util::Rng& rng,
+      util::ThreadPool* pool) const = 0;
 };
 
 enum class ModelKind {

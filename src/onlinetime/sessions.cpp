@@ -66,7 +66,7 @@ PrecomputedModel::PrecomputedModel(std::vector<DaySchedule> schedules,
     : schedules_(std::move(schedules)), label_(std::move(label)) {}
 
 std::vector<DaySchedule> PrecomputedModel::schedules_impl(
-    const trace::Dataset& dataset, util::Rng&) const {
+    const trace::Dataset& dataset, util::Rng&, util::ThreadPool*) const {
   DOSN_REQUIRE(schedules_.size() == dataset.num_users(),
                "PrecomputedModel: schedule count does not match dataset");
   return schedules_;

@@ -34,8 +34,9 @@ class PrecomputedModel final : public OnlineTimeModel {
                             std::string label = "Precomputed");
 
   std::string name() const override { return label_; }
-  std::vector<DaySchedule> schedules_impl(const trace::Dataset& dataset,
-                                     util::Rng& rng) const override;
+  std::vector<DaySchedule> schedules_impl(
+      const trace::Dataset& dataset, util::Rng& rng,
+      util::ThreadPool* pool) const override;
 
  private:
   std::vector<DaySchedule> schedules_;

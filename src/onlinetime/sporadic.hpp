@@ -13,8 +13,9 @@ class SporadicModel final : public OnlineTimeModel {
   explicit SporadicModel(Seconds session_length = 20 * 60);
 
   std::string name() const override;
-  std::vector<DaySchedule> schedules_impl(const trace::Dataset& dataset,
-                                     util::Rng& rng) const override;
+  std::vector<DaySchedule> schedules_impl(
+      const trace::Dataset& dataset, util::Rng& rng,
+      util::ThreadPool* pool) const override;
 
   Seconds session_length() const { return session_length_; }
 

@@ -45,18 +45,27 @@ util::ThreadPool& sweep_pool(const StudyOptions& options,
                                  : local.emplace(options.threads);
 }
 
+/// One schedule realization drawn from `stream`, its per-user build run on
+/// the sweep's pool; one study.realize_schedules span per call.
+std::vector<DaySchedule> realize(const onlinetime::OnlineTimeModel& model,
+                                 const trace::Dataset& dataset,
+                                 std::uint64_t stream, util::ThreadPool& pool) {
+  obs::ScopedTimer span("study.realize_schedules");
+  util::Rng rng(stream);
+  return model.schedules(dataset, rng, &pool);
+}
+
 /// One schedule realization per model repetition (a single one for a
 /// deterministic model); realization r draws from mix64(seed, base + r).
 std::vector<std::vector<DaySchedule>> realize_schedules(
     const onlinetime::OnlineTimeModel& model, const trace::Dataset& dataset,
-    std::size_t repetitions, std::uint64_t seed, std::uint64_t base) {
+    std::size_t repetitions, std::uint64_t seed, std::uint64_t base,
+    util::ThreadPool& pool) {
   const std::size_t reps = model.randomized() ? repetitions : 1;
   std::vector<std::vector<DaySchedule>> out;
   out.reserve(reps);
-  for (std::size_t r = 0; r < reps; ++r) {
-    util::Rng rng(util::mix64(seed, base + r));
-    out.push_back(model.schedules(dataset, rng));
-  }
+  for (std::size_t r = 0; r < reps; ++r)
+    out.push_back(realize(model, dataset, util::mix64(seed, base + r), pool));
   return out;
 }
 
@@ -240,11 +249,13 @@ SweepResult Study::replication_sweep(const onlinetime::OnlineTimeModel& model,
                                      placement::Connectivity connectivity,
                                      const Options& options) const {
   obs::ScopedTimer span("study.replication_sweep");
+  std::optional<util::ThreadPool> local_pool;
+  util::ThreadPool& pool = sweep_pool(options, local_pool);
   const auto schedules =
       realize_schedules(model, dataset_, options.repetitions, seed_,
-                        detail::kScheduleStreamBase);
+                        detail::kScheduleStreamBase, pool);
   return replication_sweep_over(spans_of(schedules), model.name(),
-                                connectivity, options);
+                                connectivity, options, pool);
 }
 
 SweepResult Study::replication_sweep(std::span<const DaySchedule> schedules,
@@ -254,13 +265,15 @@ SweepResult Study::replication_sweep(std::span<const DaySchedule> schedules,
   obs::ScopedTimer span("study.replication_sweep");
   DOSN_REQUIRE(schedules.size() == dataset_.num_users(),
                "replication_sweep: schedule count mismatch");
+  std::optional<util::ThreadPool> local_pool;
   return replication_sweep_over({schedules}, model_name, connectivity,
-                                options);
+                                options, sweep_pool(options, local_pool));
 }
 
 SweepResult Study::replication_sweep_over(
     const Realizations& schedules, std::string_view model_name,
-    placement::Connectivity connectivity, const Options& options) const {
+    placement::Connectivity connectivity, const Options& options,
+    util::ThreadPool& pool) const {
   const auto cohort_users =
       cohort(options.cohort_degree, options.cohort_limit);
   DOSN_REQUIRE(!cohort_users.empty(),
@@ -270,10 +283,9 @@ SweepResult Study::replication_sweep_over(
                                     "replication degree", options);
   for (std::size_t k = 0; k <= options.k_max; ++k)
     result.xs.push_back(static_cast<double>(k));
-  std::optional<util::ThreadPool> local_pool;
   auto curves = sweep_policies(schedules, schedules, cohort_users,
                                connectivity, options.k_max, kReplicationTag,
-                               0, options, sweep_pool(options, local_pool));
+                               0, options, pool);
   for (std::size_t p = 0; p < curves.size(); ++p)
     result.policies[p].points = std::move(curves[p]);
   return result;
@@ -295,8 +307,8 @@ SweepResult Study::session_length_sweep(
   for (std::size_t xi = 0; xi < session_lengths.size(); ++xi) {
     result.xs.push_back(static_cast<double>(session_lengths[xi]));
     const onlinetime::SporadicModel model(session_lengths[xi]);
-    util::Rng model_rng(util::mix64(seed_, 0x3e550000 + xi));
-    const auto sched = model.schedules(dataset_, model_rng);
+    const auto sched =
+        realize(model, dataset_, util::mix64(seed_, 0x3e550000 + xi), pool);
     const Realizations realization{sched};
     const auto curves =
         sweep_policies(realization, realization, cohort_users, connectivity,
@@ -326,11 +338,14 @@ SweepResult Study::resilience_sweep(onlinetime::ModelKind model_kind,
   DOSN_REQUIRE(!cohort_users.empty(),
                "resilience_sweep: no user has the cohort degree");
 
+  std::optional<util::ThreadPool> local_pool;
+  util::ThreadPool& pool = sweep_pool(options, local_pool);
   // Ideal schedules come from the replication_sweep stream seeds, so the
   // intensity-0 column equals the replication_sweep point at k (with
   // k_max = k) for deterministic policies — an identity the tests assert.
-  const auto ideal = realize_schedules(*model, dataset_, options.repetitions,
-                                       seed_, detail::kScheduleStreamBase);
+  const auto ideal =
+      realize_schedules(*model, dataset_, options.repetitions, seed_,
+                        detail::kScheduleStreamBase, pool);
   bool any_randomized = model->randomized();
   for (const placement::PolicyKind kind : options.policies)
     any_randomized |=
@@ -340,8 +355,6 @@ SweepResult Study::resilience_sweep(onlinetime::ModelKind model_kind,
   SweepResult result = sweep_header(dataset_, model->name(), connectivity,
                                     "fault intensity", options);
   result.xs.assign(intensities.begin(), intensities.end());
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool& pool = sweep_pool(options, local_pool);
   for (const double f : intensities) {
     // Degraded schedules per repetition at this intensity, shared across
     // policies. The fault realization seed varies with the repetition but
@@ -383,16 +396,17 @@ std::vector<UserMetrics> Study::cohort_samples(
   DOSN_REQUIRE(!cohort_users.empty(),
                "cohort_samples: no user has the cohort degree");
 
-  util::Rng model_rng(util::mix64(seed_, 0xd157));
-  const auto schedules = model->schedules(dataset_, model_rng);
+  std::optional<util::ThreadPool> local_pool;
+  util::ThreadPool& pool = sweep_pool(options, local_pool);
+  const auto schedules =
+      realize(*model, dataset_, util::mix64(seed_, 0xd157), pool);
   const auto policy = placement::make_policy(policy_kind,
                                              options.policy_params);
   const std::uint64_t stream_seed = sweep_stream(
       seed_, kSamplesTag, 0, static_cast<std::uint64_t>(policy_kind), 0);
-  std::optional<util::ThreadPool> local_pool;
   const auto rows = evaluate_cohort(schedules, schedules, cohort_users,
                                     *policy, connectivity, k, stream_seed,
-                                    sweep_pool(options, local_pool));
+                                    pool);
   // Row k of each user: its whole selection (at most k replicas).
   std::vector<UserMetrics> samples;
   samples.reserve(cohort_users.size());
@@ -416,13 +430,13 @@ SweepResult Study::user_degree_sweep(std::size_t max_degree,
                                      placement::Connectivity connectivity,
                                      const Options& options) const {
   obs::ScopedTimer span("study.user_degree_sweep");
+  std::optional<util::ThreadPool> local_pool;
+  util::ThreadPool& pool = sweep_pool(options, local_pool);
   const auto realized = realize_schedules(model, dataset_, options.repetitions,
-                                          seed_, 0xde60000);
+                                          seed_, 0xde60000, pool);
   const auto schedules = spans_of(realized);
   SweepResult result = sweep_header(dataset_, model.name(), connectivity,
                                     "user degree", options);
-  std::optional<util::ThreadPool> local_pool;
-  util::ThreadPool& pool = sweep_pool(options, local_pool);
   for (std::size_t d = 1; d <= max_degree; ++d) {
     result.xs.push_back(static_cast<double>(d));
     const auto cohort_users = cohort(d, options.cohort_limit);

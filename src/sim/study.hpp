@@ -29,15 +29,18 @@
 // schedules (synth::build_scale_study_input builds them chunk by chunk),
 // and Options::cohort_limit caps the evaluated cohort.
 //
-// Parallel execution: cohort users are evaluated concurrently on a
-// deterministic util::ThreadPool (the runtime splits the user range into
-// steal blocks). Each worker reuses one EvalScratch arena and one row
-// buffer across every user it evaluates, so steady-state evaluation does
-// not allocate. Every (sweep cell, user) pair draws from its own RNG
-// stream derived with util::mix64, and per-user rows are reduced in cohort
-// index order, so for a fixed seed the output is bit-identical for every
-// thread count (Options::threads / DOSN_THREADS), including the serial
-// threads = 1 reference.
+// Parallel execution: each sweep takes or builds one deterministic
+// util::ThreadPool and runs everything on it. Schedule realizations draw
+// their rng stream serially and build the per-user schedules on the pool
+// (onlinetime/model.hpp); cohort users are then evaluated concurrently
+// (the runtime splits the user range into steal blocks). Each worker
+// reuses one EvalScratch arena and one row buffer across every user it
+// evaluates, so steady-state evaluation does not allocate. Every (sweep
+// cell, user) pair draws from its own RNG stream derived with
+// util::mix64, and per-user rows are reduced in cohort index order, so
+// for a fixed seed the output is bit-identical for every thread count
+// (Options::threads / DOSN_THREADS), including the serial threads = 1
+// reference.
 #pragma once
 
 #include <string>
@@ -259,11 +262,13 @@ class Study {
       std::uint64_t tag, std::uint64_t x, const Options& options,
       util::ThreadPool& pool) const;
 
-  /// replication_sweep over ready schedule realizations.
+  /// replication_sweep over ready schedule realizations, on the sweep's
+  /// pool (the one its schedules were realized on).
   SweepResult replication_sweep_over(const Realizations& schedules,
                                      std::string_view model_name,
                                      placement::Connectivity connectivity,
-                                     const Options& options) const;
+                                     const Options& options,
+                                     util::ThreadPool& pool) const;
 
   const trace::Dataset& dataset_;
   std::uint64_t seed_;

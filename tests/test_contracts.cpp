@@ -240,7 +240,8 @@ class TruncatingModel final : public onlinetime::OnlineTimeModel {
 
  protected:
   std::vector<interval::DaySchedule> schedules_impl(
-      const trace::Dataset& dataset, util::Rng&) const override {
+      const trace::Dataset& dataset, util::Rng&,
+      util::ThreadPool*) const override {
     return std::vector<interval::DaySchedule>(dataset.num_users() - 1);
   }
 };

@@ -82,6 +82,60 @@ TEST(DaySchedule, ProjectManySessionsUnion) {
   EXPECT_EQ(s.online_seconds(), 2 * kH);  // [10:00,12:00) merged
 }
 
+/// DaySchedule::project before batching: one IntervalSet::add per piece,
+/// stopping early once the set covers the whole day. Kept as the oracle
+/// for the batched projection.
+DaySchedule incremental_project(std::span<const Interval> absolute) {
+  IntervalSet day;
+  for (const auto& iv : absolute) {
+    if (iv.length() >= kDaySeconds) return DaySchedule::always();
+    const Seconds s = time_of_day(iv.start);
+    const Seconds e = s + iv.length();
+    if (e <= kDaySeconds) {
+      day.add(s, e);
+    } else {
+      day.add(s, kDaySeconds);
+      day.add(0, e - kDaySeconds);
+    }
+    if (day.measure() == kDaySeconds) return DaySchedule::always();
+  }
+  return DaySchedule(std::move(day));
+}
+
+TEST(DaySchedule, ProjectEqualsIncrementalFold) {
+  util::Rng rng(86400);
+  for (int trial = 0; trial < 3000; ++trial) {
+    // Short lists of long sessions reach a full day; long lists of short
+    // ones give many merges and midnight wraps. Starts may be negative.
+    const std::size_t n = rng.below(trial % 2 == 0 ? 8 : 120);
+    const Seconds max_len = trial % 5 == 0 ? 2 * kDaySeconds : 4 * kH;
+    std::vector<Interval> sessions;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Seconds start = rng.range(-3 * kDaySeconds, 10 * kDaySeconds);
+      sessions.push_back({start, start + rng.range(1, max_len)});
+    }
+    const DaySchedule batched = DaySchedule::project(sessions);
+    ASSERT_EQ(batched, incremental_project(sessions)) << "trial " << trial;
+    ASSERT_TRUE(batched.set().is_canonical());
+  }
+}
+
+TEST(DaySchedule, ProjectAbuttingPiecesCoverTheDay) {
+  // Four abutting 6 h pieces, one wrapping midnight, on different days:
+  // the batched union is exactly always().
+  const std::vector<Interval> sessions{{kDaySeconds + 21 * kH, kDaySeconds + 27 * kH},
+                                       {3 * kH, 9 * kH},
+                                       {5 * kDaySeconds + 9 * kH, 5 * kDaySeconds + 15 * kH},
+                                       {15 * kH, 21 * kH}};
+  EXPECT_EQ(DaySchedule::project(sessions), DaySchedule::always());
+  EXPECT_EQ(incremental_project(sessions), DaySchedule::always());
+}
+
+TEST(DaySchedule, ProjectRejectsEmptyInterval) {
+  const std::vector<Interval> sessions{{10, 20}, {30, 30}};
+  EXPECT_THROW(DaySchedule::project(sessions), ConfigError);
+}
+
 TEST(DaySchedule, WaitUntilOnlineInsideIsZero) {
   auto s = sched({{10 * kH, 12 * kH}});
   EXPECT_EQ(s.wait_until_online(11 * kH), 0);

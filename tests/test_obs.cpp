@@ -654,6 +654,48 @@ TEST_F(ObsStudy, SweepPopulatesExpectedMetrics) {
       });
   ASSERT_NE(child, span->children.end());
   EXPECT_GE(child->calls, 1u);
+  // Sporadic is deterministic: one realization, one realize span.
+  const auto realize = std::find_if(
+      span->children.begin(), span->children.end(), [](const SpanSample& s) {
+        return s.name == "study.realize_schedules";
+      });
+  ASSERT_NE(realize, span->children.end());
+  EXPECT_EQ(realize->calls, 1u);
+}
+
+TEST_F(ObsStudy, RealizeSpanCountsEveryRealization) {
+  // RandomLength is realized once per repetition, each under its own
+  // study.realize_schedules span inside the sweep's span.
+  ObsEnabledGuard guard;
+  Registry::global().reset();
+  sim::Study study(*dataset_, 78);
+  sim::Study::Options opts;
+  opts.cohort_degree = cohort_degree_;
+  opts.k_max = 2;
+  opts.repetitions = 3;
+  opts.threads = 2;
+  opts.policies = {placement::PolicyKind::kMaxAv};
+  (void)study.replication_sweep(onlinetime::ModelKind::kRandomLength, {},
+                                placement::Connectivity::kConRep, opts);
+
+  const Snapshot snap = Registry::global().snapshot();
+  const auto span = std::find_if(
+      snap.spans.begin(), snap.spans.end(), [](const SpanSample& s) {
+        return s.name == "study.replication_sweep";
+      });
+  ASSERT_NE(span, snap.spans.end());
+  const auto realize = std::find_if(
+      span->children.begin(), span->children.end(), [](const SpanSample& s) {
+        return s.name == "study.realize_schedules";
+      });
+  ASSERT_NE(realize, span->children.end());
+  EXPECT_EQ(realize->calls, 3u);
+  const auto evaluate = std::find_if(
+      span->children.begin(), span->children.end(), [](const SpanSample& s) {
+        return s.name == "study.evaluate_policy";
+      });
+  ASSERT_NE(evaluate, span->children.end());
+  EXPECT_EQ(evaluate->calls, 3u);  // MaxAv repeats with the model
 }
 
 }  // namespace
