@@ -155,6 +155,21 @@ class GroupState {
   std::size_t online_count_ = 0;
 };
 
+/// Effective fault plan: explicit NodeFailures become node outages of the
+/// injected plan (crash-stop when no recovery time is given). Sessions
+/// then come through the injector — a session inside an outage window is
+/// dropped, one in progress at the failure instant is cut short, and a
+/// transient failure's sessions resume after recovery (the node's held
+/// state re-merges at its next join).
+FaultPlan effective_plan(std::size_t nodes, const ReplicaSimConfig& config) {
+  FaultPlan plan = config.faults;
+  for (const auto& f : config.failures)
+    plan.node_outages.push_back({f.node, f.at, f.recover_at});
+  for (const auto& o : plan.node_outages)
+    DOSN_REQUIRE(o.node < nodes, "replica sim: bad failure node");
+  return plan;
+}
+
 }  // namespace
 
 ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
@@ -169,17 +184,7 @@ ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
                  "replica sim: update outside horizon");
   }
 
-  // Effective fault plan: explicit NodeFailures become node outages of the
-  // injected plan (crash-stop when no recovery time is given). Sessions
-  // then come through the injector — a session inside an outage window is
-  // dropped, one in progress at the failure instant is cut short, and a
-  // transient failure's sessions resume after recovery (the node's held
-  // state re-merges at its next join).
-  FaultPlan plan = config.faults;
-  for (const auto& f : config.failures)
-    plan.node_outages.push_back({f.node, f.at, f.recover_at});
-  for (const auto& o : plan.node_outages)
-    DOSN_REQUIRE(o.node < nodes.size(), "replica sim: bad failure node");
+  const FaultPlan plan = effective_plan(nodes.size(), config);
   FaultInjector injector(plan);
 
   std::vector<RawEvent> raw;
@@ -279,6 +284,32 @@ ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
   m.group_size.record(static_cast<std::int64_t>(nodes.size()));
   injector.flush_stats();
   return report;
+}
+
+interval::IntervalSet conrep_delivery_surface(
+    std::span<const DaySchedule* const> nodes, const ReplicaSimConfig& config) {
+  DOSN_REQUIRE(config.connectivity == Connectivity::kConRep,
+               "conrep surface: requires ConRep connectivity");
+  DOSN_REQUIRE(config.horizon_days > 0, "replica sim: horizon must be > 0");
+  DOSN_REQUIRE(!nodes.empty(), "conrep surface: node 0 is the writer");
+  FaultInjector injector(effective_plan(nodes.size(), config));
+  const interval::IntervalSet writer(
+      injector.sessions(0, *nodes[0], config.horizon_days));
+  std::vector<interval::Interval> others;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    const auto sessions = injector.sessions(i, *nodes[i], config.horizon_days);
+    others.insert(others.end(), sessions.begin(), sessions.end());
+  }
+  injector.flush_stats();
+  return writer.intersect(interval::IntervalSet(std::move(others)));
+}
+
+interval::IntervalSet conrep_delivery_surface(
+    std::span<const DaySchedule> nodes, const ReplicaSimConfig& config) {
+  std::vector<const DaySchedule*> pointers;
+  pointers.reserve(nodes.size());
+  for (const auto& node : nodes) pointers.push_back(&node);
+  return conrep_delivery_surface(pointers, config);
 }
 
 std::optional<SimTime> first_non_origin_arrival(

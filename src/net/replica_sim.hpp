@@ -92,6 +92,24 @@ ReplicaSimReport simulate_replica_group(std::span<const DaySchedule> nodes,
                                         std::span<const UpdateSpec> updates,
                                         const ReplicaSimConfig& config);
 
+/// The instants a ConRep write by node 0 can become durable: node 0's
+/// realized sessions intersected with the union of every other node's,
+/// under the fault realization simulate_replica_group builds for the same
+/// `config` (its `faults`, with `failures` folded into node outages).
+///
+/// Until node 0 meets another node online it is the update's only
+/// holder, and anti-entropy passes state only between co-online replicas;
+/// the simulator's equal-time order (offline, then online, then update)
+/// is the half-open intersection, and a midnight-split session leaves and
+/// rejoins at one instant like the merged piece. So for an update node 0
+/// creates at `t`, first_non_origin_arrival of its simulated delivery is
+/// exactly `surface.next_at_or_after(t)`. Publishes the same `net.fault.*`
+/// totals as the simulator; requires ConRep and a non-empty node list.
+interval::IntervalSet conrep_delivery_surface(
+    std::span<const DaySchedule* const> nodes, const ReplicaSimConfig& config);
+interval::IntervalSet conrep_delivery_surface(
+    std::span<const DaySchedule> nodes, const ReplicaSimConfig& config);
+
 /// Earliest arrival of the update at any node other than its origin —
 /// the instant the write becomes durable beyond the writer's own copy.
 /// nullopt when no other node received it within the horizon (or the

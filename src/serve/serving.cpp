@@ -98,6 +98,12 @@ struct GroupTimeline {
   std::vector<Interval> hedge;
 };
 
+/// Canonical pieces of the union of `pieces` (any order, overlapping).
+std::vector<Interval> canonical(std::vector<Interval> pieces) {
+  const IntervalSet set(std::move(pieces));
+  return {set.pieces().begin(), set.pieces().end()};
+}
+
 /// Wait from `t` until `pieces` (canonical absolute intervals) next
 /// covers an instant; nullopt when nothing remains within the horizon.
 std::optional<Seconds> wait_within(std::span<const Interval> pieces,
@@ -215,25 +221,27 @@ struct RunContext {
           });
     }
 
+    // Each union normalizes all its members' session pieces at once; an
+    // add() per session would cost O(pieces) each.
     net::FaultInjector injector(plan_for(user));
-    IntervalSet online;
-    IntervalSet store;  // kSocialDht write surface: non-owner holders
+    std::vector<Interval> online;
+    std::vector<Interval> store;  // kSocialDht write surface: non-owners
     const bool dht_regime = regime == placement::StorageRegime::kSocialDht;
     const auto add_sessions = [&](std::size_t node_index,
                                   const DaySchedule& schedule) {
-      for (const auto& iv :
-           injector.sessions(node_index, schedule, config.workload.horizon_days)) {
-        online.add(iv.start, iv.end);
-        if (dht_regime && node_index > 0) store.add(iv.start, iv.end);
-      }
+      const auto sessions = injector.sessions(node_index, schedule,
+                                              config.workload.horizon_days);
+      online.insert(online.end(), sessions.begin(), sessions.end());
+      if (dht_regime && node_index > 0)
+        store.insert(store.end(), sessions.begin(), sessions.end());
     };
     add_sessions(0, schedules[user]);
     for (std::size_t i = 0; i < g.selection.size(); ++i)
       add_sessions(i + 1, schedules[g.selection[i]]);
     for (std::size_t i = 0; i < g.storekeepers.size(); ++i)
       add_sessions(g.selection.size() + 1 + i, schedules[g.storekeepers[i]]);
-    g.online.assign(online.pieces().begin(), online.pieces().end());
-    if (dht_regime) g.store.assign(store.pieces().begin(), store.pieces().end());
+    g.online = canonical(std::move(online));
+    if (dht_regime) g.store = canonical(std::move(store));
 
     if (resilient) {
       // Advertised (unfaulted) surfaces for the resilience paths, built
@@ -248,13 +256,15 @@ struct RunContext {
       const std::size_t members =
           1 + g.selection.size() + g.storekeepers.size();
       net::FaultInjector unfaulted{net::FaultPlan{}};
-      IntervalSet ideal;
-      for (std::size_t m = 0; m < members; ++m)
-        for (const auto& iv :
-             unfaulted.sessions(m, member_schedule(m),
-                                config.workload.horizon_days))
-          ideal.add(iv.start, iv.end);
-      g.ideal.assign(ideal.pieces().begin(), ideal.pieces().end());
+      const auto add_unfaulted = [&](std::vector<Interval>& pieces,
+                                     std::size_t m) {
+        const auto sessions = unfaulted.sessions(
+            m, member_schedule(m), config.workload.horizon_days);
+        pieces.insert(pieces.end(), sessions.begin(), sessions.end());
+      };
+      std::vector<Interval> ideal;
+      for (std::size_t m = 0; m < members; ++m) add_unfaulted(ideal, m);
+      g.ideal = canonical(std::move(ideal));
 
       if (config.resilience.hedged_reads) {
         // Top-2 members by advertised daily online time (ties to the
@@ -270,16 +280,10 @@ struct RunContext {
             second = m;
           }
         }
-        IntervalSet hedge;
-        const auto add_hedge = [&](std::size_t m) {
-          for (const auto& iv :
-               unfaulted.sessions(m, member_schedule(m),
-                                  config.workload.horizon_days))
-            hedge.add(iv.start, iv.end);
-        };
-        add_hedge(first);
-        if (second < members) add_hedge(second);
-        g.hedge.assign(hedge.pieces().begin(), hedge.pieces().end());
+        std::vector<Interval> hedge;
+        add_unfaulted(hedge, first);
+        if (second < members) add_unfaulted(hedge, second);
+        g.hedge = canonical(std::move(hedge));
       }
     }
     return g;
@@ -434,45 +438,37 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
   for (const Interval& iv : own.online)
     load.regime.online_seconds += static_cast<std::uint64_t>(iv.end - iv.start);
 
-  // Post writes run through the event-driven replica simulator: the write
-  // requests become UpdateSpecs (origin 0 = the owner) and ConRep
-  // durability is the realized anti-entropy arrival at the first
-  // non-origin replica, under the same per-user fault plan the read path
-  // realizes its sessions from.
-  std::vector<net::UpdateSpec> writes;
-  for (const auto& r : requests)
-    if (r.kind == RequestKind::kPostWrite)
-      writes.push_back({r.time, 0});
-  net::ReplicaSimReport write_report;
-  const bool simulate_writes =
-      !writes.empty() && !own.selection.empty() && !dht_regime &&
-      run.config.connectivity == placement::Connectivity::kConRep;
-  if (simulate_writes) {
-    std::vector<DaySchedule> nodes;
-    nodes.reserve(own.selection.size() + 1);
-    nodes.push_back(run.schedules[user]);
-    for (const auto holder : own.selection)
-      nodes.push_back(run.schedules[holder]);
-    net::ReplicaSimConfig sim_config;
-    sim_config.connectivity = run.config.connectivity;
-    sim_config.horizon_days = run.config.workload.horizon_days;
-    sim_config.faults = run.plan_for(user);
-    write_report = net::simulate_replica_group(nodes, writes, sim_config);
-  }
-  // Upload surface for UnconRep writes: owner online while the relay is
-  // up (own.online includes the replicas; re-derive the owner's sessions
-  // alone only when needed).
-  std::vector<Interval> upload;
-  if (run.relay_exists() && !writes.empty()) {
-    net::FaultInjector injector(run.plan_for(user));
-    IntervalSet owner_online;
-    for (const auto& iv : injector.sessions(0, run.schedules[user],
-                                            run.config.workload.horizon_days))
-      owner_online.add(iv.start, iv.end);
-    IntervalSet outages{std::vector<Interval>(run.relay_outages.begin(),
-                                              run.relay_outages.end())};
-    const auto up = owner_online.subtract(outages);
-    upload.assign(up.pieces().begin(), up.pieces().end());
+  // Write surfaces, built once per served user with writes. A ConRep
+  // write is durable at the first instant the owner and a selected
+  // replica are online together (net::conrep_delivery_surface — exactly
+  // the replica simulator's first non-origin arrival, under the same
+  // per-user fault plan the read path realizes its sessions from). An
+  // UnconRep write is durable once uploaded: the owner online while the
+  // relay is up (own.online includes the replicas, so the owner's
+  // sessions are re-derived alone).
+  const bool has_writes =
+      std::any_of(requests.begin(), requests.end(), [](const Request& r) {
+        return r.kind == RequestKind::kPostWrite;
+      });
+  const bool local_writes = own.selection.empty();
+  IntervalSet durable;
+  if (has_writes && !dht_regime) {
+    if (run.relay_exists()) {
+      net::FaultInjector injector(run.plan_for(user));
+      const IntervalSet owner_online(injector.sessions(
+          0, run.schedules[user], run.config.workload.horizon_days));
+      const IntervalSet outages{std::vector<Interval>(
+          run.relay_outages.begin(), run.relay_outages.end())};
+      durable = owner_online.subtract(outages);
+    } else if (!local_writes) {
+      std::vector<const DaySchedule*> nodes{&run.schedules[user]};
+      for (const auto holder : own.selection)
+        nodes.push_back(&run.schedules[holder]);
+      net::ReplicaSimConfig sim_config;
+      sim_config.horizon_days = run.config.workload.horizon_days;
+      sim_config.faults = run.plan_for(user);
+      durable = net::conrep_delivery_surface(nodes, sim_config);
+    }
   }
 
   ServeMetrics& metrics = serve_metrics();
@@ -485,7 +481,6 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
   };
   std::vector<SimTime> arrivals;  // feed scratch, reused across requests
   std::vector<graph::UserId> feed_owners;  // DHT fan-in scratch
-  std::size_t write_index = 0;
   for (const auto& r : requests) {
     std::optional<Seconds> latency;
     // Extra wait the storage regime itself charges this request (DHT
@@ -626,7 +621,6 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
         break;
       }
       case RequestKind::kPostWrite: {
-        const std::size_t index = write_index++;
         if (dht_regime) {
           // A DHT put is durable once it reaches the first non-owner
           // responsible node — the wait until the realized store surface
@@ -635,14 +629,10 @@ void serve_user(const RunContext& run, GroupCache& cache, graph::UserId user,
           latency = own.selection.empty()
                         ? std::optional<Seconds>(0)
                         : wait_within(own.store, r.time);
-        } else if (run.relay_exists()) {
-          latency = wait_within(upload, r.time);
-        } else if (!simulate_writes) {
+        } else if (!run.relay_exists() && local_writes) {
           latency = 0;  // single-node group: local durability
         } else {
-          const auto arrival =
-              net::first_non_origin_arrival(write_report.deliveries[index]);
-          if (arrival) latency = *arrival - r.time;
+          latency = wait_within(durable.pieces(), r.time);
         }
         if (latency)
           *latency += crypto * static_cast<Seconds>(1 + own.selection.size());

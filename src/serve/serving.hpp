@@ -15,14 +15,17 @@
 //   * feed assembly — fan-in: the max of the per-friend profile-read
 //     waits over all contacts (the feed completes with the slowest
 //     fetch); unreachable within the horizon => the request is unserved.
-//   * post write — durability latency. Under ConRep the write is injected
-//     into net::simulate_replica_group as an UpdateSpec and the latency
-//     is the earliest arrival at a non-origin replica (anti-entropy
-//     durability, realized by the event-driven simulator under the same
-//     fault realization as the read path). Under UnconRep it is the wait
-//     until the owner is next online while the relay is up (upload to the
-//     persistent store). A single-node group writes locally (latency 0)
-//     under ConRep.
+//   * post write — durability latency. Under ConRep an update passes only
+//     between co-online replicas, so the write is durable at the first
+//     instant, on or after it, when the owner and a selected replica are
+//     online together: the wait until net::conrep_delivery_surface (the
+//     owner's realized sessions intersected with the union of the
+//     replicas', under the same fault realization as the read path) next
+//     covers an instant — exactly the earliest non-origin arrival
+//     net::simulate_replica_group would realize. Under UnconRep it is the
+//     wait until the owner is next online while the relay is up (upload
+//     to the persistent store). A single-node group writes locally
+//     (latency 0) under ConRep.
 //
 // A DECENT-style crypto-cost knob taxes every object operation: reads add
 // one op, feeds one per friend profile, writes 1 + |selection| ops

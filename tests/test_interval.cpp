@@ -220,5 +220,39 @@ TEST(IntervalSet, CanonicalInvariantUnderRandomAdds) {
   }
 }
 
+// Group unions are built by normalizing every member's realized sessions
+// at once; the result must be the set the one-add-per-session fold
+// builds. Inputs mimic realized sessions: several members, each repeating
+// a daily pattern over several days in day-major order (pieces touching
+// midnight from both sides, overlapping and abutting other members').
+TEST(IntervalSet, ConstructorEqualsIncrementalAdd) {
+  constexpr Seconds kDay = 86400;
+  util::Rng rng(2012);
+  for (int round = 0; round < 300; ++round) {
+    std::vector<Interval> sessions;
+    const auto members = rng.range(1, 7);
+    const auto days = rng.range(1, 5);
+    for (std::int64_t m = 0; m < members; ++m) {
+      std::vector<Interval> daily;
+      for (auto k = rng.range(0, 4); k > 0; --k) {
+        const Seconds start = rng.range(0, 24) * 3600 + rng.range(0, 2) * 1800;
+        const Seconds end = std::min(kDay, start + rng.range(1, 8) * 1800);
+        if (start < end) daily.push_back({start, end});
+      }
+      if (rng.chance(0.3)) daily.push_back({0, rng.range(1, 6) * 3600});
+      if (rng.chance(0.3))
+        daily.push_back({kDay - rng.range(1, 6) * 3600, kDay});
+      for (std::int64_t d = 0; d < days; ++d)
+        for (const auto& iv : daily)
+          sessions.push_back({d * kDay + iv.start, d * kDay + iv.end});
+    }
+    IntervalSet folded;
+    for (const auto& iv : sessions) folded.add(iv);
+    const IntervalSet batched(sessions);
+    EXPECT_EQ(batched, folded) << "round " << round;
+    EXPECT_TRUE(batched.is_canonical());
+  }
+}
+
 }  // namespace
 }  // namespace dosn::interval

@@ -1,10 +1,13 @@
 // Unit tests for the discrete-event kernel and the replica-group simulator,
-// including cross-validation against the analytic delay metric.
+// including cross-validation against the analytic delay metric, and the
+// simulator as the differential oracle of the ConRep delivery surface.
 #include <gtest/gtest.h>
 
 #include "metrics/delay.hpp"
 #include "net/event_queue.hpp"
 #include "net/replica_sim.hpp"
+#include "net/scenario.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 #include "util/error.hpp"
 
@@ -436,6 +439,160 @@ TEST(AnalyticValidationTargeted, RealizedApproachesWorstCase) {
   // b is already gone) and waits until 12:00 next day — the exact worst
   // case the analytic metric predicts.
   EXPECT_EQ(r.max_delay, 23 * kH);
+}
+
+// ------------------------------------------- ConRep delivery surface
+
+/// Random daily schedule on the hour grid: up to three pieces, often
+/// touching midnight at either end (so realized sessions split there), or
+/// empty.
+DaySchedule random_hour_schedule(util::Rng& rng) {
+  std::vector<interval::Interval> pieces;
+  const auto hour = [&rng] { return static_cast<Seconds>(1 + rng.below(23)); };
+  if (rng.below(4) == 0) pieces.push_back({0, hour() * kH});
+  if (rng.below(4) == 0) pieces.push_back({hour() * kH, 24 * kH});
+  for (std::uint64_t k = rng.below(3); k > 0; --k) {
+    const Seconds start = static_cast<Seconds>(rng.below(24));
+    const Seconds end =
+        std::min<Seconds>(24, start + 1 + static_cast<Seconds>(rng.below(8)));
+    pieces.push_back({start * kH, end * kH});
+  }
+  if (pieces.empty()) return DaySchedule{};
+  return DaySchedule(interval::IntervalSet(std::move(pieces)));
+}
+
+/// Writes by node 0: every piece boundary of every node's schedule on a
+/// random day (the equal-time orderings), plus uniform instants.
+std::vector<UpdateSpec> surface_updates(std::span<const DaySchedule> nodes,
+                                        int horizon_days, util::Rng& rng) {
+  const SimTime horizon = horizon_days * interval::kDaySeconds;
+  std::vector<UpdateSpec> updates;
+  for (const auto& node : nodes) {
+    const auto base = static_cast<SimTime>(rng.below(
+                          static_cast<std::uint64_t>(horizon_days))) *
+                      interval::kDaySeconds;
+    for (const auto& iv : node.set().pieces())
+      for (const SimTime at : {base + iv.start, base + iv.end})
+        if (at < horizon) updates.push_back({at, 0});
+  }
+  for (int k = 0; k < 4; ++k)
+    updates.push_back({static_cast<SimTime>(
+                           rng.below(static_cast<std::uint64_t>(horizon))),
+                       0});
+  std::sort(updates.begin(), updates.end(),
+            [](const UpdateSpec& a, const UpdateSpec& b) {
+              return a.time < b.time;
+            });
+  return updates;
+}
+
+/// The net.fault.* counters, in declaration order.
+std::vector<std::uint64_t> fault_counters() {
+  std::vector<std::uint64_t> out;
+  for (const char* name :
+       {"net.fault.messages_dropped", "net.fault.jitter_applied",
+        "net.fault.sessions_skipped", "net.fault.sessions_truncated",
+        "net.fault.outage_cuts", "net.fault.relay_blocked",
+        "net.fault.scenario_windows"})
+    out.push_back(obs::Registry::global().counter(name).value());
+  return out;
+}
+
+std::vector<std::uint64_t> delta(const std::vector<std::uint64_t>& after,
+                                 const std::vector<std::uint64_t>& before) {
+  std::vector<std::uint64_t> out(after.size());
+  for (std::size_t i = 0; i < after.size(); ++i) out[i] = after[i] - before[i];
+  return out;
+}
+
+TEST(ConRepDeliverySurface, MatchesReplicaSim) {
+  // The simulator is the oracle: for every ConRep write by node 0, its
+  // first non-origin arrival is the surface's next covered instant, and
+  // both paths publish the same fault totals. Four fault modes: none,
+  // churn, churn plus a transient node outage and a crash-stop failure,
+  // and a regional-outage/churn-burst scenario.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  util::Rng rng(0x5eedc0de);
+  const auto scenario = parse_scenario(
+      "regional_outage regions=2 region=1 start=43200 end=172800 "
+      "participation=0.8\n"
+      "churn_burst start=86400 end=259200 no_show=0.7 participation=0.9\n");
+  for (int mode = 0; mode < 4; ++mode) {
+    std::uint64_t updates_seen = 0, delivered = 0, fault_events = 0;
+    for (int group = 0; group < 2000; ++group) {
+      std::vector<DaySchedule> nodes(1 + rng.below(6));
+      for (auto& node : nodes) node = random_hour_schedule(rng);
+      ReplicaSimConfig cfg;
+      cfg.horizon_days = 1 + static_cast<int>(rng.below(4));
+      const auto horizon =
+          static_cast<std::uint64_t>(cfg.horizon_days) * interval::kDaySeconds;
+      if (mode > 0) {
+        cfg.faults.seed = rng();
+        cfg.faults.session_no_show = 0.25;
+        cfg.faults.session_truncate = 0.3;
+        cfg.faults.truncate_max_fraction = 0.7;
+      }
+      if (mode == 2) {
+        const auto at = static_cast<SimTime>(rng.below(horizon));
+        cfg.faults.node_outages.push_back(
+            {rng.below(nodes.size()), at,
+             at + static_cast<SimTime>(1 + rng.below(horizon / 2))});
+        cfg.failures.push_back({rng.below(nodes.size()),
+                                static_cast<SimTime>(rng.below(horizon)),
+                                std::nullopt});
+      }
+      if (mode == 3) cfg.faults.scenario = scenario;
+      const auto updates = surface_updates(nodes, cfg.horizon_days, rng);
+
+      const auto before = fault_counters();
+      const auto report = simulate_replica_group(nodes, updates, cfg);
+      const auto mid = fault_counters();
+      const auto surface = conrep_delivery_surface(nodes, cfg);
+      const auto after = fault_counters();
+      EXPECT_EQ(delta(after, mid), delta(mid, before))
+          << "mode " << mode << " group " << group;
+      for (const auto d : delta(mid, before)) fault_events += d;
+
+      for (std::size_t u = 0; u < updates.size(); ++u) {
+        const auto expected =
+            first_non_origin_arrival(report.deliveries[u]);
+        ASSERT_EQ(surface.next_at_or_after(updates[u].time), expected)
+            << "mode " << mode << " group " << group << " update at "
+            << updates[u].time << " surface " << surface.to_string();
+        ++updates_seen;
+        if (expected) ++delivered;
+      }
+    }
+    // Non-vacuous: writes both land and stay stranded in every mode, and
+    // every fault mode actually fires.
+    EXPECT_GT(delivered, 0u) << "mode " << mode;
+    EXPECT_LT(delivered, updates_seen) << "mode " << mode;
+    if (mode > 0) {
+      EXPECT_GT(fault_events, 0u) << "mode " << mode;
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
+TEST(ConRepDeliverySurface, Contracts) {
+  std::vector<DaySchedule> nodes{window(8, 12), window(10, 14)};
+  ReplicaSimConfig cfg;
+  cfg.horizon_days = 2;
+  // Co-online 10:00-12:00 each day.
+  EXPECT_EQ(conrep_delivery_surface(nodes, cfg).to_string(),
+            "{[36000,43200) [122400,129600)}");
+  // UnconRep has a relay: durability is not a co-online question.
+  cfg.connectivity = placement::Connectivity::kUnconRep;
+  EXPECT_THROW(conrep_delivery_surface(nodes, cfg), ConfigError);
+  cfg.connectivity = placement::Connectivity::kConRep;
+  EXPECT_THROW(conrep_delivery_surface(std::span<const DaySchedule>{}, cfg),
+               ConfigError);
+  cfg.horizon_days = 0;
+  EXPECT_THROW(conrep_delivery_surface(nodes, cfg), ConfigError);
+  cfg.horizon_days = 2;
+  cfg.failures.push_back({2, 0, std::nullopt});
+  EXPECT_THROW(conrep_delivery_surface(nodes, cfg), ConfigError);
 }
 
 }  // namespace

@@ -543,6 +543,62 @@ TEST(ResilienceTest, DegradedFeedsReportPartialCoverage) {
   EXPECT_GT(report.resilience.feed_coverage_mean(), 0.0);
 }
 
+// Every serving path's request-log digest, pinned. The identity tests
+// above compare the serving path only with itself (across threads,
+// observability and zero-plan resilience), so a change that moves every
+// configuration's requests the same way passes them; these digests move
+// whenever a single latency does.
+TEST(ServingTest, RequestLogDigestsPinned) {
+  const auto input = small_input();
+  struct Pinned {
+    placement::Connectivity connectivity;
+    placement::StorageRegime regime;
+    bool composite;  ///< churn + scenario plan (else the zero plan)
+    bool resilient;  ///< full ResiliencePolicy (else naive)
+    std::uint64_t checksum;
+  };
+  constexpr auto kCon = placement::Connectivity::kConRep;
+  constexpr auto kUncon = placement::Connectivity::kUnconRep;
+  constexpr auto kGroup = placement::StorageRegime::kReplicaGroup;
+  constexpr auto kDht = placement::StorageRegime::kSocialDht;
+  constexpr auto kPeer = placement::StorageRegime::kSuperPeer;
+  const Pinned pinned[] = {
+      {kCon, kGroup, false, false, 16833885649032020156ULL},
+      {kCon, kGroup, false, true, 16833885649032020156ULL},
+      {kCon, kGroup, true, false, 15122330433636683981ULL},
+      {kCon, kGroup, true, true, 2278808565848835688ULL},
+      {kUncon, kGroup, false, false, 2412375256616140082ULL},
+      {kUncon, kGroup, false, true, 2412375256616140082ULL},
+      {kUncon, kGroup, true, false, 10995805285133075957ULL},
+      {kUncon, kGroup, true, true, 11611341317540662164ULL},
+      {kCon, kDht, false, false, 7750672892755861965ULL},
+      {kCon, kDht, false, true, 7750672892755861965ULL},
+      {kCon, kDht, true, false, 3713542669574469146ULL},
+      {kCon, kDht, true, true, 1256231188737719045ULL},
+      {kCon, kPeer, false, false, 15635853211066610118ULL},
+      {kCon, kPeer, false, true, 15635853211066610118ULL},
+      {kCon, kPeer, true, false, 3460807373404184351ULL},
+      {kCon, kPeer, true, true, 15497244030539592428ULL},
+  };
+  for (const Pinned& p : pinned) {
+    ServingConfig config = composite_config();
+    if (!p.composite) config.faults = {};
+    config.connectivity = p.connectivity;
+    config.regime = p.regime;
+    config.social_dht.replication = 3;
+    config.social_dht.hop_cost = 5;
+    config.super_peer.volunteer_threshold = 0.05;
+    config.super_peer.target_availability = 0.7;
+    if (p.resilient) config.resilience = full_resilience();
+    const auto report = run_serving_study(input.dataset, input.schedules,
+                                          input.cohort, 11, config);
+    EXPECT_EQ(report.request_log_checksum, p.checksum)
+        << "connectivity " << static_cast<int>(p.connectivity) << " regime "
+        << static_cast<int>(p.regime) << " composite " << p.composite
+        << " resilient " << p.resilient;
+  }
+}
+
 TEST(ServingTest, ServedUsersTruncatesTheCohort) {
   const auto input = small_input();
   ServingConfig config;

@@ -24,6 +24,14 @@ checksum
     subset rerun meets exactly its own baseline rows. There is no override:
     a deliberate change of results commits the new baseline file.
 
+    The same rule covers a report's ``cells[]`` (the resilient-serving
+    sweep's per scenario x policy x intensity results), matched by cell
+    ``name``. Cell names do not encode the population, so the report's
+    top-level ``users`` is part of the match: a cell rerun at another
+    population is missing from the comparison, never a checksum failure.
+    A baseline cell missing from the current report fails like a missing
+    scenario (a warning under ``--allow-missing``).
+
 performance
     Raw milliseconds are machine-dependent (the committed baseline and the
     CI runner are different hardware), so timings are never compared
@@ -105,8 +113,8 @@ Usage
   tools/check_bench_regression.py --self-test
 
 ``--self-test`` verifies the gate itself: an identical report must pass,
-a 30% injected slowdown must fail, and ``outputs_identical: false`` must
-fail. CI runs it before trusting the real comparison.
+a 30% injected slowdown must fail, ``outputs_identical: false`` must
+fail, and a shifted resilience-cell checksum must fail. CI runs it before trusting the real comparison.
 """
 
 from __future__ import annotations
@@ -238,6 +246,30 @@ def check_checksum(name: str, base: dict, cur: dict) -> list[str]:
     return [f"{name}: checksum {cur['checksum']} differs from the committed "
             f"baseline's {base['checksum']} — the results changed; commit "
             "the new baseline if the change is intended"]
+
+
+def check_cells(baseline: dict, current: dict,
+                allow_missing: bool) -> list[str]:
+    """check_checksum over the reports' ``cells[]``, matched by
+    (population, name); see the module docstring."""
+    def keyed(report: dict) -> dict:
+        return {(report.get("users"), c["name"]): c
+                for c in report.get("cells", [])}
+
+    current_cells = keyed(current)
+    failures = []
+    for key, base in keyed(baseline).items():
+        cur = current_cells.get(key)
+        if cur is None:
+            message = (f"cell {key[1]} (users={key[0]}): present in "
+                       "baseline but missing from the current report")
+            if allow_missing:
+                print(f"  WARNING: {message} (tolerated by --allow-missing)")
+            else:
+                failures.append(message)
+            continue
+        failures.extend(check_checksum(f"cell {key[1]}", base, cur))
+    return failures
 
 
 def check_latency_gates(name: str, base: dict, cur: dict,
@@ -386,6 +418,7 @@ def compare(baseline: dict, current: dict, threshold: float,
                     f"(ratio {c:.3f} vs baseline {b:.3f}, "
                     f"threshold {threshold * 100.0:.0f}%)"
                 )
+    failures.extend(check_cells(baseline, current, allow_missing))
     return failures
 
 
@@ -646,10 +679,53 @@ def self_test() -> int:
                    lambda s: s.update(hardware_threads=8), True,
                    want_warning="serve_100000_maxav_conrep: hardware_threads")
 
+    # Resilience cells: checksums matched by (population, name) — identical
+    # cells pass, a shifted cell fails, a dropped one fails unless
+    # tolerated, and a rerun at another population compares nothing.
+    cells_baseline = {
+        "benchmark": "serving_resilience",
+        "users": 100000,
+        "scenarios": [{"name": "zero_plan_probe", "outputs_identical": True}],
+        "cells": [
+            {"name": "regional_outage_naive_i0", "run_ms": 800.0,
+             "checksum": 16769306934403503365},
+            {"name": "regional_outage_full_i1", "run_ms": 900.0,
+             "checksum": 1256231188737719045},
+        ],
+    }
+
+    def expect_cells(label: str, mutate, should_pass: bool,
+                     allow_missing: bool = False) -> None:
+        nonlocal failures
+        current = copy.deepcopy(cells_baseline)
+        mutate(current)
+        print(f"self-test: {label}")
+        problems = compare(cells_baseline, current, DEFAULT_THRESHOLD,
+                           allow_missing=allow_missing)
+        if (not problems) != should_pass:
+            failures += 1
+            print(f"self-test FAIL: {label}: expected "
+                  f"{'pass' if should_pass else 'fail'}, got "
+                  f"{problems or 'pass'}")
+
+    expect_cells("identical cells pass (timings ignored)",
+                 lambda r: r["cells"][0].update(run_ms=5000.0), True)
+    expect_cells("shifted cell checksum fails",
+                 lambda r: r["cells"][1].update(
+                     checksum=1256231188737719046), False)
+    expect_cells("dropped cell fails",
+                 lambda r: r["cells"].pop(), False)
+    expect_cells("dropped cell passes under --allow-missing",
+                 lambda r: r["cells"].pop(), True, allow_missing=True)
+    expect_cells("cells at another population are not compared",
+                 lambda r: (r.update(users=20000),
+                            r["cells"][1].update(checksum=1)), True,
+                 allow_missing=True)
+
     if failures:
         print(f"self-test: {failures} case(s) failed")
         return 1
-    print("self-test OK (28 cases)")
+    print("self-test OK (33 cases)")
     return 0
 
 
